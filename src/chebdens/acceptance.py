@@ -23,8 +23,6 @@ from .bounds import csp_bound_pipeline, factorial_bound, index_divisor_bound, mi
 from .errors import InconsistencyError
 from .primes import primes_upto
 
-DEFAULT_CUTOFF = 10**7
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -40,11 +38,17 @@ def _check(condition: bool, message: str, failures: list[str]) -> None:
         failures.append(message)
 
 
+def _result(index: int, title: str, failures: list[str], detail: str,
+            elapsed: float) -> CriterionResult:
+    """Passed iff nothing failed; a failed result reports its failures as the detail."""
+    return CriterionResult(index, title, not failures, "; ".join(failures) or detail, elapsed)
+
+
 def _quadratic(d: int) -> splitting.SplittingFieldModel:
     return splitting.splitting_field_model((-d, 0, 1), 2)
 
 
-def criterion_1(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_1(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Natural densities of the complete-splitting sets match 1/2 and 1/6."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -62,12 +66,10 @@ def criterion_1(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
         f"x^2+1: {est_q.value:.6f} (|err| {gap_q:.2e}); "
         f"x^3-2: {est_c.value:.6f} (|err| {gap_c:.2e})"
     )
-    return CriterionResult(1, "Chebotarev convergence at the default cutoff",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(1, "Chebotarev convergence at the default cutoff", failures, detail, elapsed)
 
 
-def criterion_2(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_2(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Union of three independent quadratic splitting sets has density 7/8."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -82,12 +84,11 @@ def criterion_2(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     _check(exact == Fraction(7, 8), f"exact union density {exact} != 7/8", failures)
     elapsed = time.perf_counter() - start
     detail = f"empirical {est:.6f} vs 7/8 (|err| {gap:.2e}); exact side = {exact}"
-    return CriterionResult(2, "union-density formula for a disjoint quadratic tower",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(2, "union-density formula for a disjoint quadratic tower",
+                   failures, detail, elapsed)
 
 
-def criterion_3(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_3(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Truncated inclusion-exclusion identity is exact on randomized families."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -103,16 +104,14 @@ def criterion_3(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
             break
     elapsed = time.perf_counter() - start
     detail = "100 families (r <= 5, primes < 10^4, s in {2,3}): residual exactly 0"
-    return CriterionResult(3, "inclusion-exclusion identity, exact arithmetic",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(3, "inclusion-exclusion identity, exact arithmetic", failures, detail, elapsed)
 
 
 def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction, den: int = 48) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randint(0, den), den)
 
 
-def criterion_4(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_4(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Union bound, intersection bound, and selection bound agree exactly."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -143,12 +142,10 @@ def criterion_4(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
             break
     elapsed = time.perf_counter() - start
     detail = "1000 exact-density tuples, all three bounds exact"
-    return CriterionResult(4, "consistency of the exact density bounds",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(4, "consistency of the exact density bounds", failures, detail, elapsed)
 
 
-def criterion_5(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_5(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Tower selection margin: empirical inputs reproduce the exact theta and bound."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -171,9 +168,8 @@ def criterion_5(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
         f"theta empirical = exact = {theta_exact}; best member density {best:.6f} "
         f">= theta/r - 0.01 = {bound - 0.01:.6f}"
     )
-    return CriterionResult(5, "selection margin bridged from empirical densities",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(5, "selection margin bridged from empirical densities",
+                   failures, detail, elapsed)
 
 
 _ORACLE_TYPES = (
@@ -183,7 +179,7 @@ _ORACLE_TYPES = (
 )
 
 
-def criterion_6(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_6(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Brute-force enumeration reproduces every tabulated (w, c) in reach."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -197,12 +193,10 @@ def criterion_6(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     elapsed = time.perf_counter() - start
     _check(elapsed < 60, f"runtime {elapsed:.1f}s exceeded 60s", failures)
     detail = f"{len(_ORACLE_TYPES)} types enumerated, all (w, c) exact"
-    return CriterionResult(6, "Weyl table vs enumeration oracle",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(6, "Weyl table vs enumeration oracle", failures, detail, elapsed)
 
 
-def criterion_7(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_7(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Constant pipeline hand-checks and the super-decreasing divisibility law."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -228,12 +222,11 @@ def criterion_7(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
                     failures.append(f"divisibility fails at delta1={d1}, delta2={d2}, d={d}")
     elapsed = time.perf_counter() - start
     detail = "r = 3 certified minimal; nu(3/10) = 24; A1 pipeline = (3, 3/8, 1/12, 13!); 20x5 grid divides"
-    return CriterionResult(7, "bound pipeline constants and super-decreasing law",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(7, "bound pipeline constants and super-decreasing law",
+                   failures, detail, elapsed)
 
 
-def criterion_8(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+def criterion_8(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
     """Density lifting is exact multiplication, erroring exactly past 1."""
     start = time.perf_counter()
     failures: list[str] = []
@@ -254,9 +247,7 @@ def criterion_8(cutoff: int = DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
                         failures.append(f"lift({delta}, {degree}) should have raised")
     elapsed = time.perf_counter() - start
     detail = "exact on the full grid; inconsistency raised exactly when delta*degree > 1"
-    return CriterionResult(8, "density lifting law",
-                           not failures, detail if not failures else "; ".join(failures),
-                           elapsed)
+    return _result(8, "density lifting law", failures, detail, elapsed)
 
 
 _CRITERIA: tuple[Callable[..., CriterionResult], ...] = (
@@ -271,7 +262,7 @@ def run_acceptance(
     out: Callable[[str], None] | None = print,
 ) -> list[CriterionResult]:
     """Run every criterion, emitting one pass/fail line per criterion."""
-    cutoff = DEFAULT_CUTOFF if cutoff is None else int(cutoff)
+    cutoff = density.DEFAULT_CUTOFF if cutoff is None else int(cutoff)
     results = []
     for func in _CRITERIA:
         try:

@@ -191,6 +191,22 @@ def factorial_bound(delta) -> int:
     return _cached_factorial(_reciprocal_floor(delta) + 1)
 
 
+def _materialized_bound(
+    factorial_of: int, d: int, rho: int, materialize_limit: int
+) -> tuple[FactoredBound, int | None]:
+    """(factorial_of!)^d * rho factored, and exact unless past ``materialize_limit`` digits."""
+    d = int(d)
+    rho = int(rho)
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if rho < 1:
+        raise ValueError("rho must be a positive integer")
+    factored = FactoredBound(factorial_of, d, rho)
+    if factored.digit_count_estimate() <= materialize_limit:
+        return factored, factored.value()
+    return factored, None
+
+
 def index_divisor_bound(
     delta,
     d: int,
@@ -206,16 +222,8 @@ def index_divisor_bound(
     same power).
     """
     delta = _validate_delta(delta)
-    d = int(d)
-    rho = int(rho)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    factored = FactoredBound(_reciprocal_floor(delta) + 1, d, rho)
-    if factored.digit_count_estimate() <= materialize_limit:
-        return factored.value()
-    return factored
+    factored, exact = _materialized_bound(_reciprocal_floor(delta) + 1, d, rho, materialize_limit)
+    return factored if exact is None else exact
 
 
 def idele_index_bound(delta) -> int:
@@ -259,16 +267,8 @@ def csp_bound_pipeline(
         )
     delta = omega / (2 * r)
     nu_arg = _reciprocal_floor(delta) + 1
-    rho = int(rho)
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    factored = FactoredBound(nu_arg, constants.d, rho)
-    if factored.digit_count_estimate() <= materialize_limit:
-        n_exact: int | None = factored.value()
-        n_digits = decimal_digits(n_exact)
-    else:
-        n_exact = None
-        n_digits = factored.digit_count_estimate()
+    factored, n_exact = _materialized_bound(nu_arg, constants.d, rho, materialize_limit)
+    n_digits = factored.digit_count_estimate() if n_exact is None else decimal_digits(n_exact)
     return BoundReport(
         type=parse_type(rst_type),
         d=constants.d,
@@ -280,7 +280,7 @@ def csp_bound_pipeline(
         theta=theta_bound.theta,
         delta=delta,
         nu_arg=nu_arg,
-        rho=rho,
+        rho=factored.times,
         n_factored=factored,
         n_digits=n_digits,
         n_exact=n_exact,
@@ -291,7 +291,7 @@ def csp_bound_pipeline(
 
 
 def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{decimal_str(x.numerator)}/{decimal_str(x.denominator)}"
 
 
 def report_to_dict(report: BoundReport) -> dict:

@@ -19,7 +19,19 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContainmentError, InconsistencyError
-from .density import _fraction_sum
+
+
+def _fraction_sum(terms: Sequence[Fraction]) -> Fraction:
+    """Sum by pairwise merging; keeps intermediate denominators balanced."""
+    items = list(terms)
+    if not items:
+        return Fraction(0)
+    while len(items) > 1:
+        merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            merged.append(items[-1])
+        items = merged
+    return items[0]
 
 
 def as_density(value) -> Fraction:

@@ -77,7 +77,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 _PROGRESS_EVERY = 200_000
 
 
-def _scan_records(model, lo: int, hi: int, with_cycle: bool):
+def _scan_records(model, lo: int, hi: int):
     """Yield one record per unramified prime; progress goes to stderr."""
     bad = set(splitting.ramified_primes_in(model, lo, hi))
     is_poly = isinstance(model, splitting.SplittingFieldModel)
@@ -85,7 +85,7 @@ def _scan_records(model, lo: int, hi: int, with_cycle: bool):
     for p in sieve_primes(PrimeRange(lo, hi)).tolist():
         if p in bad:
             continue
-        if with_cycle and is_poly:
+        if is_poly:
             cycle = splitting.frobenius_cycle_type(model, p)
             record = {
                 "p": p,
@@ -100,46 +100,47 @@ def _scan_records(model, lo: int, hi: int, with_cycle: bool):
         yield record
 
 
-def _cmd_spl(args) -> int:
-    model = _model_from_args(args)
-    ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
-    records = _scan_records(model, args.lo, args.hi, with_cycle=True)
-    if args.format == "json":
-        _emit_json({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
-                    "ramified": ramified, "records": list(records)})
-    elif args.format == "csv":
-        print("p,splits,cycle_type")
-        for rec in records:
-            cycle = "" if "cycle_type" not in rec else "|".join(map(str, rec["cycle_type"]))
-            print(f"{rec['p']},{int(rec['splits'])},{cycle}")
-    else:
-        print(f"# ramified: {ramified}")
-        for rec in records:
-            cycle = "" if "cycle_type" not in rec else " cycle=" + str(rec["cycle_type"])
-            print(f"p={rec['p']} splits={rec['splits']}{cycle}")
-    return 0
+#: Help text and record columns (in output order) of each scan command.
+_SCAN_COMMANDS = {
+    "spl": ("complete-splitting scan over a prime range", ("p", "splits", "cycle_type")),
+    "frob": ("Frobenius cycle types over a prime range", ("p", "cycle_type")),
+}
+_HUMAN_LABELS = {"p": "p", "splits": "splits", "cycle_type": "cycle"}
 
 
-def _cmd_frob(args) -> int:
+def _csv_cell(column: str, value) -> str:
+    if column == "cycle_type":
+        return "|".join(map(str, value))
+    return str(int(value))
+
+
+def _cmd_scan(args) -> int:
+    """``spl`` and ``frob``: the scan records restricted to ``args.columns``.
+
+    A column a record lacks (cycle types of an abelian model) is left out of
+    JSON and human lines and written empty in CSV; a scan without a
+    ``splits`` column needs cycle types, so it rejects abelian models.
+    """
+    columns = args.columns
     model = _model_from_args(args)
-    if not isinstance(model, splitting.SplittingFieldModel):
+    if "splits" not in columns and not isinstance(model, splitting.SplittingFieldModel):
         raise ModelFormatError("cycle types require a splitting_field model")
     ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
     records = (
-        {"p": rec["p"], "cycle_type": rec["cycle_type"]}
-        for rec in _scan_records(model, args.lo, args.hi, with_cycle=True)
+        {col: rec[col] for col in columns if col in rec}
+        for rec in _scan_records(model, args.lo, args.hi)
     )
     if args.format == "json":
         _emit_json({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
                     "ramified": ramified, "records": list(records)})
     elif args.format == "csv":
-        print("p,cycle_type")
+        print(",".join(columns))
         for rec in records:
-            print(f"{rec['p']},{'|'.join(map(str, rec['cycle_type']))}")
+            print(",".join(_csv_cell(col, rec[col]) if col in rec else "" for col in columns))
     else:
         print(f"# ramified: {ramified}")
         for rec in records:
-            print(f"p={rec['p']} cycle={rec['cycle_type']}")
+            print(" ".join(f"{_HUMAN_LABELS[col]}={rec[col]}" for col in columns if col in rec))
     return 0
 
 
@@ -262,19 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spl = sub.add_parser("spl", help="complete-splitting scan over a prime range")
-    _add_model_arguments(p_spl)
-    p_spl.add_argument("--lo", type=int, default=2)
-    p_spl.add_argument("--hi", type=int, required=True)
-    p_spl.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    p_spl.set_defaults(func=_cmd_spl)
-
-    p_frob = sub.add_parser("frob", help="Frobenius cycle types over a prime range")
-    _add_model_arguments(p_frob)
-    p_frob.add_argument("--lo", type=int, default=2)
-    p_frob.add_argument("--hi", type=int, required=True)
-    p_frob.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    p_frob.set_defaults(func=_cmd_frob)
+    for name, (help_text, columns) in _SCAN_COMMANDS.items():
+        p_scan = sub.add_parser(name, help=help_text)
+        _add_model_arguments(p_scan)
+        p_scan.add_argument("--lo", type=int, default=2)
+        p_scan.add_argument("--hi", type=int, required=True)
+        p_scan.add_argument("--format", choices=("json", "csv", "human"), default="json")
+        p_scan.set_defaults(func=_cmd_scan, columns=columns)
 
     p_density = sub.add_parser("density", help="density convergence tables")
     _add_model_arguments(p_density)

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
+from .calculus import _fraction_sum
 from .errors import InconsistencyError
 from .primes import primes_upto
 from .splitting import (
@@ -107,19 +108,6 @@ def member_mask(subject: PrimeSubject, primes: np.ndarray) -> np.ndarray:
     return np.isin(primes, members)
 
 
-def _fraction_sum(terms: Sequence[Fraction]) -> Fraction:
-    """Sum by pairwise merging; keeps intermediate denominators balanced."""
-    items = list(terms)
-    if not items:
-        return Fraction(0)
-    while len(items) > 1:
-        merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
-
-
 def _validate_s(s) -> None:
     if s <= 1:
         raise ValueError(f"s must exceed 1, got {s}")
@@ -184,7 +172,14 @@ def _normalize_grid(s_grid: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
-def _ratio_diagnostics(subject, s_grid, cutoff):
+def _ratio_estimate(
+    kind: str,
+    subject: PrimeSubject,
+    s_grid: Sequence[float],
+    cutoff: int,
+    pick: Callable[[tuple[float, ...]], float],
+) -> DensityEstimate:
+    """Ratio curve and coverage over the grid; ``pick`` reads the raw value."""
     grid = _normalize_grid(s_grid)
     sums = truncated_zeta_sums(subject, grid, cutoff)
     ratios = []
@@ -193,7 +188,16 @@ def _ratio_diagnostics(subject, s_grid, cutoff):
         denom = math.log(1.0 / (s - 1.0))
         ratios.append(xi_a / denom)
         coverage.append(xi_p / math.log(riemann_zeta(s)))
-    return grid, tuple(ratios), tuple(coverage)
+    raw = pick(tuple(ratios))
+    return DensityEstimate(
+        kind=kind,
+        value=min(max(raw, 0.0), 1.0),
+        cutoff=int(cutoff),
+        s_grid=grid,
+        ratios=tuple(ratios),
+        coverage=tuple(coverage),
+        raw_value=raw,
+    )
 
 
 def dirichlet_density_estimate(
@@ -208,17 +212,7 @@ def dirichlet_density_estimate(
     (see the module docstring), so treat the value as a lower-biased reading
     and prefer natural density for tight checks.
     """
-    grid, ratios, coverage = _ratio_diagnostics(subject, s_grid, cutoff)
-    raw = ratios[-1]
-    return DensityEstimate(
-        kind="dirichlet",
-        value=min(max(raw, 0.0), 1.0),
-        cutoff=int(cutoff),
-        s_grid=grid,
-        ratios=ratios,
-        coverage=coverage,
-        raw_value=raw,
-    )
+    return _ratio_estimate("dirichlet", subject, s_grid, cutoff, lambda ratios: ratios[-1])
 
 
 def upper_density_estimate(
@@ -232,17 +226,9 @@ def upper_density_estimate(
     surrogate agrees with the Dirichlet estimate whenever the ratio curve is
     flat over the tail (their difference is bounded by the tail spread).
     """
-    grid, ratios, coverage = _ratio_diagnostics(subject, s_grid, cutoff)
-    tail = ratios[-((len(grid) + 1) // 2) :]
-    raw = max(tail)
-    return DensityEstimate(
-        kind="upper_dirichlet",
-        value=min(max(raw, 0.0), 1.0),
-        cutoff=int(cutoff),
-        s_grid=grid,
-        ratios=ratios,
-        coverage=coverage,
-        raw_value=raw,
+    return _ratio_estimate(
+        "upper_dirichlet", subject, s_grid, cutoff,
+        lambda ratios: max(ratios[-((len(ratios) + 1) // 2) :]),
     )
 
 

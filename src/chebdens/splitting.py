@@ -28,16 +28,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import InconsistencyError, ModelFormatError, RamifiedPrimeError, ResourceLimitError
+from .errors import (InconsistencyError, InvariantViolationError, ModelFormatError,
+                     RamifiedPrimeError, ResourceLimitError)
 from .primes import is_prime
 
 # Vectorized modular arithmetic keeps products of two residues inside int64.
 _VECTOR_PRIME_LIMIT = 1 << 26
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +120,6 @@ def _pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
         if e:
             b = _mulmod(b, b, f, p)
     return result
-
-
-def _derivative(f: list[int], p: int) -> list[int]:
-    d = len(f) - 1
-    return _trim([c * (d - i) % p for i, c in enumerate(f[:-1])])
 
 
 def _desc_mod_p(poly_ascending: Sequence[int], p: int) -> list[int]:
@@ -279,6 +277,10 @@ class SplittingFieldModel:
     def degree(self) -> int:
         return self.galois_order
 
+    @cached_property
+    def discriminant(self) -> int:
+        return poly_discriminant(self.poly)
+
 
 GaloisExtensionModel = Union[AbelianModel, SplittingFieldModel]
 
@@ -369,6 +371,11 @@ def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
     else:
         if p in model.bad_primes:
             raise RamifiedPrimeError(f"p={p} is in the model's excluded prime set")
+        # for monic f, f mod p is squarefree exactly when p does not divide disc f
+        if model.discriminant % p == 0:
+            raise InconsistencyError(
+                f"f mod {p} is not squarefree; the excluded prime set of the model is incomplete"
+            )
 
 
 def splits_completely(model: GaloisExtensionModel, p: int) -> bool:
@@ -391,10 +398,6 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
     _require_unramified(model, p)
     f = _desc_mod_p(model.poly, p)
     deg = len(f) - 1
-    if _gcd(f, _derivative(f, p), p) != [1]:
-        raise InconsistencyError(
-            f"f mod {p} is not squarefree; the excluded prime set of the model is incomplete"
-        )
     degrees: list[int] = []
     work = f
     g = _rem([1, 0], work, p)  # x mod work
@@ -405,13 +408,14 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
             degrees.append(len(work) - 1)
             break
         g = _pow_mod(g, p, work, p)
-        diff = _trim([(a - b) % p for a, b in _aligned(g, [1, 0])])
-        h = _gcd(work, diff, p)
+        diff = [0] * (2 - len(g)) + g  # g - x, padded to degree >= 1
+        diff[-2] = (diff[-2] - 1) % p
+        h = _gcd(work, _trim(diff), p)
         if len(h) - 1 > 0:
             degrees.extend([d] * ((len(h) - 1) // d))
             work, rem = _divmod(work, h, p)
-            work = _monic(work, p)
-            assert rem == []
+            if rem:  # h divides work by construction
+                raise InvariantViolationError(f"gcd factor of f mod {p} left remainder {rem}")
             g = _rem(g, work, p)
     ct = FrobeniusCycleType(tuple(degrees))
     if sum(ct.degrees) != deg:
@@ -422,14 +426,6 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
             f"galois_order={model.galois_order}; the supplied order is wrong"
         )
     return ct
-
-
-def _aligned(a: list[int], b: list[int]) -> list[tuple[int, int]]:
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    a = [0] * (n - la) + a
-    b = [0] * (n - lb) + b
-    return list(zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +539,18 @@ def _bad_mask(bad: frozenset[int], primes: np.ndarray) -> np.ndarray:
     return np.isin(primes, np.array(sorted(bad), dtype=np.int64))
 
 
+def _mod_int(value: int, mod: np.ndarray) -> np.ndarray:
+    """``value mod mod`` entrywise for a Python int of any size; mod entries <= 2^32.
+
+    Horner over 31-bit limbs keeps every intermediate below 2^63.
+    """
+    n = abs(int(value))
+    r = np.zeros(mod.shape, dtype=np.int64)
+    for shift in range(n.bit_length() // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
+        r = ((r << _LIMB_BITS) + ((n >> shift) & _LIMB_MASK)) % mod
+    return (-r) % mod if value < 0 else r
+
+
 def _poly_mulmod_vec(
     a: np.ndarray, b: np.ndarray, fred: np.ndarray, mod: np.ndarray
 ) -> np.ndarray:
@@ -569,7 +577,7 @@ def _splits_mask_vec(poly: Sequence[int], primes: np.ndarray) -> np.ndarray:
     mod = primes.astype(np.int64)
     fred = np.empty((n, npr), dtype=np.int64)
     for i in range(n):
-        fred[i] = poly[i] % mod
+        fred[i] = _mod_int(poly[i], mod)
     res = np.zeros((n, npr), dtype=np.int64)
     res[0] = 1
     base = np.zeros((n, npr), dtype=np.int64)
@@ -598,16 +606,21 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         m = model.modulus
         mask = np.isin(primes % m, sorted(model.residues))
         return mask & ~_bad_mask(model.bad_primes, primes)
+    bad = _bad_mask(model.bad_primes, primes)
     small = primes < _VECTOR_PRIME_LIMIT
     mask = np.zeros(primes.shape, dtype=bool)
     if small.any():
-        mask[small] = _splits_mask_vec(model.poly, primes[small])
+        low = primes[small]
+        missed = (_mod_int(model.discriminant, low) == 0) & ~bad[small]
+        if missed.any():
+            _require_unramified(model, int(low[missed][0]))  # raises InconsistencyError
+        mask[small] = _splits_mask_vec(model.poly, low)
     if (~small).any():
         for idx in np.flatnonzero(~small):
             p = int(primes[idx])
             if p not in model.bad_primes:
                 mask[idx] = splits_completely(model, p)
-    return mask & ~_bad_mask(model.bad_primes, primes)
+    return mask & ~bad
 
 
 def ramified_primes_in(

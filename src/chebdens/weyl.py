@@ -347,6 +347,41 @@ def enumerate_weyl_group(
     return [tuple(int(v) for v in row) for row in stacked]
 
 
+def _orbit_count(
+    arr: np.ndarray, index: dict[bytes, int], gens: Sequence[np.ndarray]
+) -> int:
+    """Number of orbits of the rows of ``arr`` under conjugation by ``gens``.
+
+    ``index`` maps each row's bytes to its position in ``arr``; every
+    conjugate of a row must be a row again.
+    """
+    inverses = []
+    for g in gens:
+        inv = np.empty_like(g)
+        inv[g] = np.arange(len(g), dtype=g.dtype)
+        inverses.append(inv)
+    assigned = np.zeros(arr.shape[0], dtype=bool)
+    classes = 0
+    for seed in range(arr.shape[0]):
+        if assigned[seed]:
+            continue
+        classes += 1
+        assigned[seed] = True
+        frontier = [seed]
+        while frontier:
+            block = arr[frontier]
+            fresh = []
+            for g, ginv in zip(gens, inverses):
+                conjugates = ginv[block[:, g]]
+                for row in conjugates:
+                    j = index[row.tobytes()]
+                    if not assigned[j]:
+                        assigned[j] = True
+                        fresh.append(j)
+            frontier = fresh
+    return classes
+
+
 def conjugacy_class_count(
     elements: Sequence[Sequence[int]],
     generators: Sequence[Sequence[int]] | None = None,
@@ -366,31 +401,7 @@ def conjugacy_class_count(
         if generators is not None
         else list(arr)
     )
-    inverses = []
-    for g in gen_arrs:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=dtype)
-        inverses.append(inv)
-    assigned = np.zeros(arr.shape[0], dtype=bool)
-    classes = 0
-    for seed in range(arr.shape[0]):
-        if assigned[seed]:
-            continue
-        classes += 1
-        assigned[seed] = True
-        frontier = [seed]
-        while frontier:
-            block = arr[frontier]
-            fresh = []
-            for g, ginv in zip(gen_arrs, inverses):
-                conjugates = ginv[block[:, g]]
-                for row in conjugates:
-                    j = index[row.tobytes()]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        fresh.append(j)
-            frontier = fresh
-    return classes
+    return _orbit_count(arr, index, gen_arrs)
 
 
 def enumerated_constants(
@@ -399,28 +410,4 @@ def enumerated_constants(
     """(group order, class count) measured by brute force, for cross-checking."""
     data = _as_data(system)
     stacked, index, gens = _enumerate_arrays(data, cap)
-    inverses = []
-    for g in gens:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=g.dtype)
-        inverses.append(inv)
-    assigned = np.zeros(stacked.shape[0], dtype=bool)
-    classes = 0
-    for seed in range(stacked.shape[0]):
-        if assigned[seed]:
-            continue
-        classes += 1
-        assigned[seed] = True
-        frontier = [seed]
-        while frontier:
-            block = stacked[frontier]
-            fresh = []
-            for g, ginv in zip(gens, inverses):
-                conjugates = ginv[block[:, g]]
-                for row in conjugates:
-                    j = index[row.tobytes()]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        fresh.append(j)
-            frontier = fresh
-    return stacked.shape[0], classes
+    return stacked.shape[0], _orbit_count(stacked, index, gens)

@@ -1,10 +1,17 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from chebdens import csp_bound_pipeline
 from chebdens.cli import main
+
+# exit code, stdout and stderr of spl and frob in every format, on a polynomial
+# and an abelian model; scan output is an interface and must stay byte-identical
+SCAN_GOLDEN = json.loads((Path(__file__).parent / "data" / "scan_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +81,13 @@ class TestFrob:
         )
         assert code == 1
         assert "splitting_field" in err
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_GOLDEN))
+def test_scan_output_matches_golden(capsys, case):
+    golden = SCAN_GOLDEN[case]
+    code, out, err = run_cli(capsys, *golden["argv"])
+    assert (code, out, err) == (golden["code"], golden["stdout"], golden["stderr"])
 
 
 class TestDensity:
@@ -203,6 +217,20 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--type", "G3", "--m", "1", "--omega", "1/2")
         assert code == 1
         assert "invalid" in err
+
+
+    def test_theta_beyond_int_str_limit(self, capsys):
+        # theta's numerator for E6 at omega = 1 has ~169k digits
+        code, out, _ = run_cli(capsys, "bounds", "--type", "E6", "--m", "1", "--omega", "1")
+        assert code == 0
+        num, den = json.loads(out)["theta"].split("/")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            theta = Fraction(int(num), int(den))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert theta == csp_bound_pipeline("E6", 1, 1).theta
 
 
 class TestDeterminism:

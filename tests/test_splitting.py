@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import chebdens.splitting as splitting_mod
 from chebdens import (
     FrobeniusCycleType,
     InconsistencyError,
+    InvariantViolationError,
     ModelFormatError,
     RamifiedPrimeError,
     abelian_model,
@@ -238,6 +240,36 @@ class TestModelAgreement:
         mask = split_mask(X3M2, mixed)
         for p, got in zip(mixed.tolist(), mask.tolist()):
             assert got == splits_completely(X3M2, p)
+
+
+class TestPathAgreement:
+    @pytest.mark.parametrize("path", [
+        lambda model, p: split_mask(model, np.array([p], dtype=np.int64)),
+        lambda model, p: splits_completely(model, p),
+        lambda model, p: frobenius_cycle_type(model, p),
+    ], ids=["split_mask", "splits_completely", "frobenius_cycle_type"])
+    def test_incomplete_bad_primes_raise(self, path):
+        # disc(x^2 - 12) = 48, so 3 is ramified but missing from bad_primes
+        model = splitting_field_model((-12, 0, 1), 2, bad_primes=[2])
+        with pytest.raises(InconsistencyError):
+            path(model, 3)
+
+    def test_coefficient_beyond_int64(self, primes_1e4):
+        model = splitting_field_model((2**70 + 1, 0, 1), 2)  # x^2 + (2^70 + 1)
+        mask = split_mask(model, primes_1e4)
+        for p, got in zip(primes_1e4.tolist(), mask.tolist()):
+            assert got == (p not in model.bad_primes and splits_completely(model, p))
+        mods = np.array([2, 3, 2**31 - 1, 2**32 - 5, 2**32], dtype=np.int64)
+        for value in (0, -1, 2**31, 2**70 + 1, -(3**200)):
+            assert splitting_mod._mod_int(value, mods).tolist() == [value % m for m in mods.tolist()]
+
+    def test_nonzero_ddf_remainder_is_an_invariant_violation(self, monkeypatch):
+        divmod_ = splitting_mod._divmod
+        monkeypatch.setattr(
+            splitting_mod, "_divmod", lambda f, g, p: (divmod_(f, g, p)[0], [1])
+        )
+        with pytest.raises(InvariantViolationError):
+            frobenius_cycle_type(X3M2, 5)
 
 
 class TestPredicates:

@@ -152,6 +152,11 @@ class TestEnumeration:
         elements = enumerate_weyl_group(data)
         gens = simple_reflection_perms(data)
         assert conjugacy_class_count(elements, gens) == 10
+        # enumerated_constants shares the orbit routine but reuses its own index
+        for label in ("A3", "B3", "D4", "G2"):
+            data = build_root_system(label)
+            count = conjugacy_class_count(enumerate_weyl_group(data), simple_reflection_perms(data))
+            assert enumerated_constants(label)[1] == count
 
 
 @pytest.mark.slow
