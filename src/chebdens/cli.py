@@ -15,6 +15,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import acceptance, calculus, density, splitting, weyl
 from .bounds import csp_bound_pipeline, report_to_dict
 from .errors import ModelFormatError
@@ -44,8 +46,8 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps takes the C encoder; json.dump to a stream never does
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _model_from_args(args) -> splitting.GaloisExtensionModel:
@@ -78,26 +80,38 @@ _PROGRESS_EVERY = 200_000
 
 
 def _scan_records(model, lo: int, hi: int):
-    """Yield one record per unramified prime; progress goes to stderr."""
-    bad = set(splitting.ramified_primes_in(model, lo, hi))
+    """Yield one record per unramified prime; progress goes to stderr.
+
+    Records are computed a block of primes at a time; when a prime fails a
+    check, the records of every prime before it are yielded, then its error
+    is raised.
+    """
+    primes = sieve_primes(PrimeRange(lo, hi))
+    primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
     is_poly = isinstance(model, splitting.SplittingFieldModel)
+    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}  # factor counts -> cycle type
     done = 0
-    for p in sieve_primes(PrimeRange(lo, hi)).tolist():
-        if p in bad:
-            continue
+    for start in range(0, primes.size, splitting._BLOCK):
+        block = primes[start:start + splitting._BLOCK]
+        error = None
         if is_poly:
-            cycle = splitting.frobenius_cycle_type(model, p)
-            record = {
-                "p": p,
-                "splits": set(cycle.degrees) == {1},
-                "cycle_type": list(cycle.degrees),
-            }
+            counts, error = splitting._cycle_counts(model, block)
+            records = []
+            for p, col in zip(block.tolist(), map(tuple, counts.T.tolist())):
+                if col not in shapes:
+                    shapes[col] = tuple(k for k, c in enumerate(col, 1) for _ in range(c))
+                shape = shapes[col]
+                records.append({"p": p, "splits": shape[-1] == 1, "cycle_type": list(shape)})
         else:
-            record = {"p": p, "splits": splitting.splits_completely(model, p)}
-        done += 1
-        if done % _PROGRESS_EVERY == 0:
-            print(f"... {done} primes scanned, at p = {p}", file=sys.stderr)
-        yield record
+            splits = splitting.split_mask(model, block).tolist()
+            records = [{"p": p, "splits": s} for p, s in zip(block.tolist(), splits)]
+        for record in records:
+            done += 1
+            if done % _PROGRESS_EVERY == 0:
+                print(f"... {done} primes scanned, at p = {record['p']}", file=sys.stderr)
+            yield record
+        if error is not None:
+            raise error
 
 
 #: Help text and record columns (in output order) of each scan command.

@@ -21,6 +21,17 @@ type (any two classes of equal element order do in the abelian case), so
 cycle-type predicates describe unions of classes; abelian models therefore
 take residue sets, which pin classes down exactly, and no finer resolution
 is exposed for splitting-field models.
+
+Two engines compute the same answers.  Single primes (``splits_completely``,
+``frobenius_cycle_type``, ``in_progression``) use dense Python-int
+arithmetic: square-and-multiply for x^p and distinct-degree factorization
+for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
+the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
+GF(p)[x] engine, one int64 column per prime in blocks of ``_BLOCK`` primes:
+a left-to-right ladder computes x^p mod (f, p), and cycle types come from
+the nullities of Q^d - I, Q being Berlekamp's matrix of the Frobenius map
+on GF(p)[x]/(f).  Primes above ``_batch_limit(deg f)``, where int64 sums
+could overflow, fall back to the single-prime code within the same call.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Iterable, Sequence, Union
 
@@ -37,8 +49,7 @@ from .errors import (InconsistencyError, InvariantViolationError, ModelFormatErr
                      RamifiedPrimeError, ResourceLimitError)
 from .primes import is_prime
 
-# Vectorized modular arithmetic keeps products of two residues inside int64.
-_VECTOR_PRIME_LIMIT = 1 << 26
+_BLOCK = 8192  # primes per batched block, so the work rows stay in cache
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -364,18 +375,33 @@ class FrobeniusCycleType:
         return "{" + ",".join(str(d) for d in self.degrees) + "}"
 
 
-def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
+def _ramification_error(model: GaloisExtensionModel, p: int) -> Exception | None:
+    """The error to raise when p is excluded from the model or ramified in it, else None."""
     if isinstance(model, AbelianModel):
         if model.modulus > 1 and model.modulus % p == 0:
-            raise RamifiedPrimeError(f"p={p} divides the modulus {model.modulus}")
-    else:
-        if p in model.bad_primes:
-            raise RamifiedPrimeError(f"p={p} is in the model's excluded prime set")
-        # for monic f, f mod p is squarefree exactly when p does not divide disc f
-        if model.discriminant % p == 0:
-            raise InconsistencyError(
-                f"f mod {p} is not squarefree; the excluded prime set of the model is incomplete"
-            )
+            return RamifiedPrimeError(f"p={p} divides the modulus {model.modulus}")
+        return None
+    if p in model.bad_primes:
+        return RamifiedPrimeError(f"p={p} is in the model's excluded prime set")
+    # for monic f, f mod p is squarefree exactly when p does not divide disc f
+    if model.discriminant % p == 0:
+        return InconsistencyError(
+            f"f mod {p} is not squarefree; the excluded prime set of the model is incomplete"
+        )
+    return None
+
+
+def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
+    error = _ramification_error(model, p)
+    if error is not None:
+        raise error
+
+
+def _order_error(model: SplittingFieldModel, order: int, p: int) -> InconsistencyError:
+    return InconsistencyError(
+        f"observed Frobenius order {order} at p={p} does not divide "
+        f"galois_order={model.galois_order}; the supplied order is wrong"
+    )
 
 
 def splits_completely(model: GaloisExtensionModel, p: int) -> bool:
@@ -421,10 +447,7 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
     if sum(ct.degrees) != deg:
         raise InconsistencyError(f"cycle type {ct} does not sum to deg f = {deg}")
     if model.galois_order % ct.element_order != 0:
-        raise InconsistencyError(
-            f"observed Frobenius order {ct.element_order} at p={p} does not divide "
-            f"galois_order={model.galois_order}; the supplied order is wrong"
-        )
+        raise _order_error(model, ct.element_order, p)
     return ct
 
 
@@ -490,12 +513,13 @@ class SplittingPredicate:
             out = np.isin(primes % model.modulus, sorted(self.target))
             return out & ~_bad_mask(self.bad_primes, primes)
         model = self.models[0]
+        keep = ~_bad_mask(self.bad_primes, primes)
+        counts, error = _cycle_counts(model, primes[keep])
+        if error is not None:
+            raise error
+        target = np.bincount(self.target.degrees, minlength=model.poly_degree + 1)[1:]
         out = np.zeros(primes.shape, dtype=bool)
-        bad = self.bad_primes
-        for i, p in enumerate(primes.tolist()):
-            if p in bad:
-                continue
-            out[i] = frobenius_cycle_type(model, p) == self.target
+        out[keep] = (counts == target[:, None]).all(axis=0)
         return out
 
 
@@ -531,7 +555,8 @@ def in_progression(pred: SplittingPredicate, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# vectorized complete-splitting masks
+# batched GF(p)[x] engine: arrays of shape (n, B), row i the coefficient of
+# x^i, column b a residue mod the prime p[b]
 
 def _bad_mask(bad: frozenset[int], primes: np.ndarray) -> np.ndarray:
     if not bad:
@@ -551,52 +576,67 @@ def _mod_int(value: int, mod: np.ndarray) -> np.ndarray:
     return (-r) % mod if value < 0 else r
 
 
-def _poly_mulmod_vec(
-    a: np.ndarray, b: np.ndarray, fred: np.ndarray, mod: np.ndarray
-) -> np.ndarray:
-    """Columnwise (a*b) mod (f, p): a, b, fred are (deg, N), mod is (N,)."""
-    n = a.shape[0]
-    conv = [np.zeros(mod.shape, dtype=np.int64) for _ in range(2 * n - 1)]
-    for i in range(n):
-        ai = a[i]
-        for j in range(n):
-            conv[i + j] = (conv[i + j] + ai * b[j]) % mod
-    for k in range(2 * n - 2, n - 1, -1):
-        top = conv[k]
-        for i in range(n):
-            conv[k - n + i] = (conv[k - n + i] - top * fred[i]) % mod
-    return np.stack(conv[:n])
+def _divides_disc(model: SplittingFieldModel, primes: np.ndarray) -> np.ndarray:
+    """Entrywise ``disc f % p == 0``, i.e. where f mod p is not squarefree."""
+    small = primes <= 1 << 32  # the range of _mod_int
+    out = np.zeros(primes.shape, dtype=bool)
+    out[small] = _mod_int(model.discriminant, primes[small]) == 0
+    out[~small] = [model.discriminant % p == 0 for p in primes[~small].tolist()]
+    return out
 
 
-def _splits_mask_vec(poly: Sequence[int], primes: np.ndarray) -> np.ndarray:
-    """x^p == x mod (f, p) for every column prime at once (int64-safe range)."""
+def _batch_limit(n: int) -> int:
+    """Largest prime the engine takes for a degree-n polynomial.
+
+    The largest sum the engine accumulates before a ``% p`` is n products of
+    two residues, at most n*(p-1)^2, which must not exceed 2^63 - 1.  The
+    limit is below 2^32 for every n, as ``_mod_int`` needs.
+    """
+    return 1 + math.isqrt(((1 << 63) - 1) // n)
+
+
+def _times_x(a: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * a mod (f, p): a shift plus one reduction by ``xn`` = x^n mod (f, p)."""
+    out = np.empty_like(a)
+    out[0] = 0
+    out[1:] = a[:-1]
+    out += a[-1] * xn
+    out %= p
+    return out
+
+
+def _reduction_rows(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """x^(n+k) mod (f, p) for k = 0..n-2, shape (n-1, n, B); needs deg f = n >= 2."""
     n = len(poly) - 1
-    npr = primes.shape[0]
-    if n <= 1 or npr == 0:
-        return np.ones(npr, dtype=bool)
-    mod = primes.astype(np.int64)
-    fred = np.empty((n, npr), dtype=np.int64)
+    red = np.empty((n - 1, n, p.size), dtype=np.int64)
+    red[0] = [_mod_int(-c, p) for c in poly[:-1]]
+    for k in range(1, n - 1):
+        red[k] = _times_x(red[k - 1], red[0], p)
+    return red
+
+
+def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a * b mod (f, p); each coefficient sums its (at most n) products before one ``% p``."""
+    n = a.shape[0]
+    conv = np.zeros((2 * n - 1, p.size), dtype=np.int64)
     for i in range(n):
-        fred[i] = _mod_int(poly[i], mod)
-    res = np.zeros((n, npr), dtype=np.int64)
-    res[0] = 1
-    base = np.zeros((n, npr), dtype=np.int64)
-    base[1] = 1
-    exp = mod.copy()
-    maxbits = int(mod.max()).bit_length()
-    for bit in range(maxbits):
-        odd = (exp & 1).astype(bool)
-        if odd.any():
-            res[:, odd] = _poly_mulmod_vec(res[:, odd], base[:, odd], fred[:, odd], mod[odd])
-        exp >>= 1
-        if not exp.any():
-            break
-        base = _poly_mulmod_vec(base, base, fred, mod)
-    ok = res[1] == 1
-    for i in range(n):
-        if i != 1:
-            ok &= res[i] == 0
-    return ok
+        conv[i:i + n] += a[i] * b
+    conv %= p
+    out = conv[:n]
+    for k in range(n - 1):
+        out += conv[n + k] * red[k]
+    out %= p
+    return out
+
+
+def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set."""
+    r = np.zeros(red.shape[1:], dtype=np.int64)
+    r[0] = 1
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        r = _block_mulmod(r, r, red, p)
+        r = np.where(((p >> bit) & 1).astype(bool), _times_x(r, red[0], p), r)
+    return r
 
 
 def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
@@ -606,21 +646,170 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         m = model.modulus
         mask = np.isin(primes % m, sorted(model.residues))
         return mask & ~_bad_mask(model.bad_primes, primes)
-    bad = _bad_mask(model.bad_primes, primes)
-    small = primes < _VECTOR_PRIME_LIMIT
-    mask = np.zeros(primes.shape, dtype=bool)
-    if small.any():
-        low = primes[small]
-        missed = (_mod_int(model.discriminant, low) == 0) & ~bad[small]
-        if missed.any():
-            _require_unramified(model, int(low[missed][0]))  # raises InconsistencyError
-        mask[small] = _splits_mask_vec(model.poly, low)
-    if (~small).any():
-        for idx in np.flatnonzero(~small):
-            p = int(primes[idx])
-            if p not in model.bad_primes:
-                mask[idx] = splits_completely(model, p)
-    return mask & ~bad
+    mask = ~_bad_mask(model.bad_primes, primes)
+    missed = _divides_disc(model, primes) & mask
+    if missed.any():
+        _require_unramified(model, int(primes[missed.argmax()]))  # raises InconsistencyError
+    n = model.poly_degree
+    if n <= 1:
+        return mask
+    limit = _batch_limit(n)
+    low = np.flatnonzero(primes <= limit)
+    for start in range(0, low.size, _BLOCK):
+        idx = low[start:start + _BLOCK]
+        p = primes[idx]
+        xp = _x_pow_p(_reduction_rows(model.poly, p), p)
+        # f | x^p - x, valid since f mod p is squarefree
+        mask[idx] &= (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
+    for i in np.flatnonzero(mask & (primes > limit)).tolist():
+        mask[i] = splits_completely(model, int(primes[i]))
+    return mask
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per-column product of (n, n) matrices mod p, shape (n, n, B)."""
+    out = np.zeros_like(a)
+    for j in range(a.shape[1]):
+        out += a[:, j, None] * b[j]
+    out %= p
+    return out
+
+
+def _rank_mod_p(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank over GF(p) of each (n, n) slice ``a[:, :, b]``; entries in [0, p), ``a`` is overwritten.
+
+    Fraction-free elimination needs no modular inverse: at column c a pivot
+    row clears the other free rows by ``row <- pivot * row - row[c] * pivot_row``,
+    a difference of two products below (p-1)^2.
+    """
+    n, _, size = a.shape
+    cols = np.arange(size)
+    free = np.ones((n, size), dtype=bool)
+    rank = np.zeros(size, dtype=np.int64)
+    for c in range(n):
+        cand = free & (a[:, c] != 0)
+        found = cand.any(axis=0)
+        rank += found
+        if c == n - 1:
+            break
+        piv = cand.argmax(axis=0)
+        free[piv, cols] &= ~found
+        pivot = np.where(found, a[piv, c, cols], 1)
+        factor = np.where(free, a[:, c], 0)
+        pivot_row = a[piv, c + 1:, cols].T
+        rest = a[:, c + 1:]
+        rest *= pivot
+        rest -= factor[:, None] * pivot_row
+        rest %= p
+    return rank
+
+
+def _nullity_inverse(n: int) -> tuple[np.ndarray, int]:
+    """(M, L) with ``L * c == M @ N`` for the factor-degree counts of a squarefree f.
+
+    With c_k the number of degree-k factors, the nullity of Q^d - I is
+    N(d) = sum_k c_k gcd(d, k) = sum_{e | d} phi(e) A(e), where A(e) counts
+    the factors of degree divisible by e.  Moebius inversion over the
+    divisors gives phi(e) A(e), and over the multiples c_k = sum_m mu(m) A(km).
+    """
+    def mu(m: int) -> int:
+        factors = prime_factors(m) if m > 1 else frozenset()
+        return 0 if any(m % (q * q) == 0 for q in factors) else (-1) ** len(factors)
+
+    rows = []
+    for k in range(1, n + 1):
+        row = [Fraction(0)] * n
+        for e in range(k, n + 1, k):
+            weight = Fraction(mu(e // k), euler_phi(e))
+            for d in range(1, e + 1):
+                if e % d == 0:
+                    row[d - 1] += weight * mu(e // d)
+        rows.append(row)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return np.array([[int(x * scale) for x in row] for row in rows], dtype=np.int64), scale
+
+
+def _block_cycle_counts(
+    model: SplittingFieldModel, p: np.ndarray
+) -> tuple[np.ndarray, Exception | None, int]:
+    """Counts c_k (shape (n, B)) for primes up to ``_batch_limit``, the first error and its column.
+
+    Every check of ``frobenius_cycle_type`` runs per column; the error is the
+    one that function raises at the first failing column (None if none).
+    """
+    n = model.poly_degree
+    q = np.zeros((n, n, p.size), dtype=np.int64)  # row i: x^(ip) mod (f, p)
+    q[0, 0] = 1
+    if n > 1:
+        red = _reduction_rows(model.poly, p)
+        q[1] = _x_pow_p(red, p)
+        for i in range(2, n):
+            q[i] = _block_mulmod(q[i - 1], q[1], red, p)
+    eye = np.eye(n, dtype=np.int64)[:, :, None]
+    nullity = np.empty((n, p.size), dtype=np.int64)
+    power = q
+    for d in range(n):
+        if d:
+            power = _matmul_mod(power, q, p)
+        nullity[d] = n - _rank_mod_p((power - eye) % p, p)
+    mobius, scale = _nullity_inverse(n)
+    scaled = mobius @ nullity
+    counts = scaled // scale
+    broken = ((scaled % scale != 0) | (counts < 0)).any(axis=0)
+    broken |= np.arange(1, n + 1) @ counts != n
+    # the Frobenius order, the lcm of the factor degrees, divides galois_order
+    # exactly when every factor degree does
+    misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]
+    fail = (_bad_mask(model.bad_primes, p) | _divides_disc(model, p) | broken
+            | (counts[misfit] > 0).any(axis=0))
+    if not fail.any():
+        return counts, None, p.size
+    j = int(fail.argmax())
+    prime = int(p[j])
+    error = _ramification_error(model, prime)
+    if error is None and broken[j]:
+        error = InvariantViolationError(
+            f"Berlekamp nullities {nullity[:, j].tolist()} of f mod {prime} give no cycle type"
+        )
+    if error is None:
+        order = math.lcm(*(k for k, c in enumerate(counts[:, j].tolist(), 1) if c))
+        error = _order_error(model, order, prime)
+    return counts, error, j
+
+
+def _cycle_counts(
+    model: SplittingFieldModel, primes: np.ndarray
+) -> tuple[np.ndarray, Exception | None]:
+    """Factor-degree counts of f mod p over an array of primes, and the first error.
+
+    Column j of ``counts`` holds c_1..c_n, the numbers of degree-k factors
+    of f mod primes[j], for every prime before the first one at which
+    ``frobenius_cycle_type`` raises; ``error`` is what it raises there (same
+    type and message), or None.  Primes up to ``_batch_limit(n)`` go through
+    the batched engine, larger ones through ``frobenius_cycle_type``.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    n = model.poly_degree
+    counts = np.zeros((n, primes.size), dtype=np.int64)
+    stop, error = primes.size, None
+    limit = _batch_limit(n)
+    low = np.flatnonzero(primes <= limit)
+    for start in range(0, low.size, _BLOCK):
+        idx = low[start:start + _BLOCK]
+        counts[:, idx], error, j = _block_cycle_counts(model, primes[idx])
+        if error is not None:
+            stop = int(idx[j])
+            break
+    for j in np.flatnonzero(primes > limit).tolist():
+        if j >= stop:
+            break
+        try:
+            degrees = frobenius_cycle_type(model, int(primes[j])).degrees
+        except (RamifiedPrimeError, InconsistencyError, InvariantViolationError) as exc:
+            stop, error = j, exc
+            break
+        counts[:, j] = np.bincount(degrees, minlength=n + 1)[1:]
+    return counts[:, :stop], error
 
 
 def ramified_primes_in(

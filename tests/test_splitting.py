@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chebdens.splitting as splitting_mod
 from chebdens import (
@@ -24,16 +27,19 @@ from chebdens import (
     splits_completely,
     splitting_field_model,
 )
+from chebdens.primes import PrimeRange, sieve_primes
 from oracles import (
     brute_force_factor_degrees,
     cubic_two_splits,
     cycle_type_low_degree,
     legendre_splits,
+    root_count,
 )
 
 X2P1 = splitting_field_model((1, 0, 1), 2)       # x^2 + 1
 X3M2 = splitting_field_model((-2, 0, 0, 1), 6)   # x^3 - 2
 MOD4 = abelian_model(4, [1])
+LINEAR = splitting_field_model((3, 1), 1)         # x + 3
 
 
 class TestDiscriminant:
@@ -223,23 +229,48 @@ class TestModelAgreement:
         assert sorted(poly.bad_primes) == [2, 3] == sorted(residue.bad_primes)
         assert (split_mask(poly, primes_1e5) == split_mask(residue, primes_1e5)).all()
 
-    def test_vectorized_matches_scalar(self, primes_1e4):
-        mask = split_mask(X3M2, primes_1e4)
-        for i in range(0, len(primes_1e4), 37):
-            p = int(primes_1e4[i])
-            expected = False if p in X3M2.bad_primes else splits_completely(X3M2, p)
-            assert bool(mask[i]) == expected
+    def test_vectorized_matches_scalar(self, primes_1e4, primes_1e5):
+        # a degree-1 polynomial, an empty array, and an array longer than one
+        # batched block (primes_1e5 has 9592 entries) besides the cubic
+        cases = [
+            (X3M2, primes_1e4, 37),
+            (LINEAR, primes_1e4, 37),
+            (X3M2, primes_1e4[:0], 1),
+            (X3M2, primes_1e5, 1),
+        ]
+        assert len(primes_1e5) > splitting_mod._BLOCK
+        for model, primes, step in cases:
+            mask = split_mask(model, primes)
+            assert mask.shape == primes.shape
+            for i in range(0, len(primes), step):
+                p = int(primes[i])
+                expected = False if p in model.bad_primes else splits_completely(model, p)
+                assert bool(mask[i]) == expected
 
-    def test_mask_beyond_vector_limit_uses_scalar_path(self):
-        # primes past 2^26 fall back to per-prime arithmetic inside split_mask
-        import chebdens.primes as primes_mod
+    def test_mask_beyond_vector_limit_uses_scalar_path(self, monkeypatch):
+        # primes just above 2^26 are batched; a window straddling the int64
+        # bound of x^3 - 2 sends the primes above it, and only those, through
+        # the per-prime path in the same call
+        limit = splitting_mod._batch_limit(3)
+        assert limit == 1_753_413_057
+        scalar_calls = []
+        scalar = splitting_mod.splits_completely
 
-        big = primes_mod.sieve_primes(primes_mod.PrimeRange(2**26 + 1, 2**26 + 400))
-        assert big.size > 0
-        mixed = np.concatenate([np.array([5, 13, 31], dtype=np.int64), big])
-        mask = split_mask(X3M2, mixed)
-        for p, got in zip(mixed.tolist(), mask.tolist()):
-            assert got == splits_completely(X3M2, p)
+        def counting(model, p):
+            scalar_calls.append(p)
+            return scalar(model, p)
+
+        monkeypatch.setattr(splitting_mod, "splits_completely", counting)
+        for lo, hi in ((2**26 + 1, 2**26 + 400), (limit - 300, limit + 300)):
+            big = sieve_primes(PrimeRange(lo, hi))
+            assert big.size > 0
+            mixed = np.concatenate([np.array([5, 13, 31], dtype=np.int64), big])
+            scalar_calls.clear()
+            mask = split_mask(X3M2, mixed)
+            assert scalar_calls == [p for p in mixed.tolist() if p > limit]
+            for p, got in zip(mixed.tolist(), mask.tolist()):
+                assert got == scalar(X3M2, p)
+        assert scalar_calls and min(big.tolist()) <= limit
 
 
 class TestPathAgreement:
@@ -270,6 +301,59 @@ class TestPathAgreement:
         )
         with pytest.raises(InvariantViolationError):
             frobenius_cycle_type(X3M2, 5)
+
+
+def _window_primes(lo: int, count: int) -> list[int]:
+    return sieve_primes(PrimeRange(lo, lo + 2000)).tolist()[:count]
+
+
+class TestBatchedEngineDifferential:
+    """The batched engine against the single-prime code and the root-count oracle."""
+
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+        st.integers(2, 10**4 - 2000),
+        st.integers(-10**5, 10**5),
+        st.integers(1, 10**5),
+        st.integers(1, 10**5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_matches_single_prime_paths(self, lower, small, near_2_26, below, above):
+        poly = tuple(lower) + (1,)
+        n = len(lower)
+        assume(poly_discriminant(poly) != 0)
+        # bad_primes left empty: primes dividing the discriminant must then
+        # raise the same InconsistencyError on every path
+        model = splitting_field_model(poly, math.factorial(n), bad_primes=[])
+        limit = splitting_mod._batch_limit(n)
+        primes = (_window_primes(small, 4) + _window_primes(2**26 + near_2_26, 3)
+                  + _window_primes(limit - below, 3) + _window_primes(limit + above, 3))
+        disc = model.discriminant
+        clean = np.array([p for p in primes if disc % p], dtype=np.int64)
+        counts, error = splitting_mod._cycle_counts(model, clean)
+        assert error is None
+        mask = split_mask(model, clean)
+        for j, p in enumerate(clean.tolist()):
+            expected = np.bincount(frobenius_cycle_type(model, p).degrees, minlength=n + 1)[1:]
+            assert counts[:, j].tolist() == expected.tolist(), (poly, p)
+            assert bool(mask[j]) == splits_completely(model, p)
+            if p < 2000:
+                assert counts[0, j] == root_count(poly, p)
+        # an incomplete bad_primes: a prime dividing disc f, placed mid-array
+        ramified = next((q for q in _window_primes(2, 300) if disc % q == 0), None)
+        if ramified is None:
+            return
+        mixed = np.concatenate([clean[:2], [ramified], clean[2:]])
+        with pytest.raises(InconsistencyError) as scalar_error:
+            frobenius_cycle_type(model, ramified)
+        with pytest.raises(InconsistencyError):
+            splits_completely(model, ramified)
+        with pytest.raises(InconsistencyError):
+            split_mask(model, mixed)
+        counts, error = splitting_mod._cycle_counts(model, mixed)
+        assert type(error) is InconsistencyError
+        assert str(error) == str(scalar_error.value)
+        assert counts.shape == (n, min(2, clean.size))
 
 
 class TestPredicates:
@@ -323,13 +407,19 @@ class TestPredicates:
         with pytest.raises(ValueError):
             residue_class_predicate(abelian_model(8, [1, 3]), [1])  # not a union of cosets
 
-    def test_cycle_type_predicate_mask(self, primes_1e4):
-        pred = cycle_type_predicate(X2P1, (2,))
-        mask = pred.mask(primes_1e4[:100])
-        expected = np.array(
-            [p != 2 and p % 4 == 3 for p in primes_1e4[:100].tolist()]
-        )
-        assert (mask == expected).all()
+    def test_cycle_type_predicate_mask(self, primes_1e4, primes_1e5):
+        # also a degree-1 polynomial, an empty array, and an array longer
+        # than one batched block
+        cases = [
+            (X2P1, (2,), primes_1e4[:100], lambda p: p != 2 and p % 4 == 3),
+            (LINEAR, (1,), primes_1e4[:100], lambda p: True),
+            (X2P1, (2,), primes_1e4[:0], None),
+            (X2P1, (2,), primes_1e5, lambda p: p != 2 and p % 4 == 3),
+        ]
+        for model, degrees, primes, expected in cases:
+            mask = cycle_type_predicate(model, degrees).mask(primes)
+            assert mask.shape == primes.shape
+            assert mask.tolist() == [expected(p) for p in primes.tolist()]
 
     def test_bad_primes_union(self):
         pred = intersect_splitting([X2P1, X3M2])
