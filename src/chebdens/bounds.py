@@ -9,18 +9,24 @@ closure index of a d-dimensional torus.  n is astronomically large in
 general, so the factored form is primary and exact materialization is gated
 by a digit limit.
 
-All comparisons deciding r use exact integer powers; a float logarithm only
-seeds the starting guess, after which minimality is proven by exact checks
-at r and r-1.
+Every r the search returns is proven by exact integer powers: a float
+logarithm only seeds the starting guess, after which minimality is proven by
+exact checks at r and r-1.  The certification cap is checked lazily: when
+the seed lies within the cap the exact walk starts at the seed and refuses
+only if it would step past the cap; when the seed lies beyond it, a
+fixed-point lower bound of (1 - 1/t)^r_cap (128-bit integers, every product
+rounded down, O(log r_cap) squarings) refuses without exact powers, and the
+exact check at the cap runs only when that bound is inconclusive.  The
+condition is monotone in r, so refusing at the cap is itself a certificate.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .calculus import TowerSpec, as_density, tower_theta
 from .errors import HypothesisFailureError, InconsistencyError, InvariantViolationError, ResourceLimitError
@@ -55,17 +61,37 @@ def decimal_digits(n: int) -> int:
     return digits
 
 
+#: Integers up to this many bits (603 digits) are below every allowed str() digit limit (>= 640).
+_STR_BITS = 2000
+
+
 def decimal_str(n: int) -> str:
-    """Decimal string of an integer of any size (lifts the conversion guard)."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
+    """Decimal string of an integer of any size, identical to ``str(n)``.
+
+    Python's int-to-str is quadratic and refuses long outputs; large values
+    are split in halves by bit count and recombined as exact decimals
+    (hi * 2^k + lo), whose products libmpdec computes in subquadratic time.
+    """
+    if n.bit_length() <= _STR_BITS:
         return str(n)
-    old = get_limit()
-    try:
-        sys.set_int_max_str_digits(max(old, decimal_digits(abs(n)) + 16))
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(old)
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        two = decimal.Decimal(2)
+        power_of_two = cache(lambda k: two**k)
+
+        def convert(x: int, bits: int) -> decimal.Decimal:
+            if bits <= _STR_BITS:
+                return decimal.Decimal(x)
+            low_bits = bits // 2
+            high = x >> low_bits
+            return convert(high, bits - low_bits) * power_of_two(low_bits) + convert(
+                x - (high << low_bits), low_bits
+            )
+
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def _reciprocal_floor(delta: Fraction) -> int:
@@ -129,13 +155,41 @@ def _condition(m: int, t: int, r: int, omega: Fraction) -> bool:
     return 2 * omega.denominator * (t - 1) ** r < omega.numerator * m * t**r
 
 
+#: Fractional bits of the fixed-point lower bound that refuses past the cap.
+_FIXED_BITS = 128
+
+
+def _power_floor(t: int, r: int) -> int:
+    """A lower bound of (1 - 1/t)^r * 2^_FIXED_BITS, by squaring with floor rounding.
+
+    Every factor and product is rounded down and all values are nonnegative,
+    so the result never exceeds the exact value (and is 2^_FIXED_BITS for
+    r <= 0).
+    """
+    base = ((t - 1) << _FIXED_BITS) // t
+    acc = 1 << _FIXED_BITS
+    while r > 0:
+        if r & 1:
+            acc = (acc * base) >> _FIXED_BITS
+        r >>= 1
+        base = (base * base) >> _FIXED_BITS
+    return acc
+
+
+def _cap_error(r_cap: int, t: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"minimal r exceeds the certification cap {r_cap} for t = {t}; "
+        "raise r_cap to spend the extra exact-arithmetic effort"
+    )
+
+
 def minimal_tower_count(m: int, t: int, omega, r_cap: int = DEFAULT_R_CAP) -> int:
     """Minimal r >= 1 with (1/m) * (1 - 1/t)^r < omega/2, certified exactly.
 
     omega must satisfy 0 < omega <= 1/m (it is the density of a subset of a
-    set of density 1/m).  For very large t combined with tiny omega the
-    certified answer would need integer powers beyond ``r_cap`` digits of
-    work; that raises a resource error rather than an approximate answer.
+    set of density 1/m).  When the minimal r exceeds ``r_cap`` (very large t
+    combined with tiny omega) this raises a resource error rather than
+    returning an uncertified answer.
     """
     m = int(m)
     t = int(t)
@@ -152,22 +206,22 @@ def minimal_tower_count(m: int, t: int, omega, r_cap: int = DEFAULT_R_CAP) -> in
         )
     if _condition(m, t, 1, omega):
         return 1
-    if not _condition(m, t, r_cap, omega):
-        raise ResourceLimitError(
-            f"minimal r exceeds the certification cap {r_cap} for t = {t}; "
-            "raise r_cap to spend the extra exact-arithmetic effort"
-        )
+    a, b = omega.numerator, omega.denominator
     # condition is (1 - 1/t)^r < omega*m/2; seed r from logs of the big
     # integers (finite where float(omega) may underflow), then walk exactly
-    log_target = (
-        math.log(omega.numerator) - math.log(omega.denominator)
-        + math.log(m) - math.log(2)
-    )
-    r = min(max(math.ceil(log_target / math.log1p(-1.0 / t)), 2), r_cap)
-    a, b = omega.numerator, omega.denominator
+    log_target = math.log(a) - math.log(b) + math.log(m) - math.log(2)
+    seed = max(math.ceil(log_target / math.log1p(-1.0 / t)), 2)
+    if seed > r_cap and (
+        2 * b * _power_floor(t, r_cap) >= (a * m) << _FIXED_BITS
+        or not _condition(m, t, r_cap, omega)
+    ):
+        raise _cap_error(r_cap, t)
+    r = min(seed, r_cap)
     num = (t - 1) ** r  # (t-1)^r and t^r, updated incrementally while walking
     den = t**r
     while 2 * b * num >= a * m * den:
+        if r >= r_cap:
+            raise _cap_error(r_cap, t)
         r += 1
         num *= t - 1
         den *= t

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import InconsistencyError, InvariantViolationError, ResourceLimitError
 
 #: Largest group order the enumeration oracle will attempt by default.
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -251,7 +251,7 @@ def build_root_system(rst_type: RootSystemType | str) -> RootSystemData:
         frontier = fresh
     ordered = tuple(sorted(roots))
     if len(ordered) != expected_root_count(rst_type):
-        raise AssertionError(
+        raise InvariantViolationError(
             f"{rst_type}: generated {len(ordered)} roots, "
             f"expected {expected_root_count(rst_type)}"
         )
@@ -295,12 +295,35 @@ def _perm_dtype(nroots: int):
     return np.uint8 if nroots <= 255 else np.uint16
 
 
+#: Rows per block when a permutation is applied to the values of many rows.
+_ROW_BLOCK = 4096
+
+
+def _row_keys(rows: np.ndarray, cols) -> np.ndarray:
+    """One key per row: the bytes of its entries in the columns ``cols``.
+
+    Keys of at most 8 bytes (the simple-root columns of every root system)
+    are packed into uint64, which numpy sorts and searches several times
+    faster; wider keys are ``np.void`` views.  Only equality of keys is
+    used, not their order.
+    """
+    block = np.ascontiguousarray(rows[:, cols])
+    width = block.shape[1] * block.itemsize
+    if width <= 8:
+        packed = np.zeros((block.shape[0], 8), dtype=np.uint8)
+        packed[:, :width] = block.view(np.uint8)
+        return packed.view(np.uint64).ravel()
+    return block.view(np.dtype((np.void, width))).ravel()
+
+
 def _enumerate_arrays(data: RootSystemData, cap: int):
     """BFS closure of the simple reflections under composition.
 
-    Returns (elements array of shape (w, nroots), index dict keyed by row
-    bytes, generator arrays).  Deterministic: candidates of each level are
-    deduplicated in sorted order.
+    Returns (elements array of shape (w, nroots), key columns, generator
+    arrays).  Level k holds the elements of length k, in lexicographic
+    order of their rows.  Multiplying by a simple reflection changes the
+    length by exactly one, so a candidate from level k is new unless it
+    lies in level k - 1; rows are compared by their simple-root columns.
     """
     if data.w > cap:
         raise ResourceLimitError(
@@ -309,30 +332,32 @@ def _enumerate_arrays(data: RootSystemData, cap: int):
         )
     nroots = len(data.roots)
     dtype = _perm_dtype(nroots)
+    # a Weyl element is the linear map fixed by its images of the simple
+    # roots, so the simple roots' columns of a row identify the element
+    cols = [data.roots.index(alpha) for alpha in data.simple_roots]
     gens = [np.array(g, dtype=dtype) for g in simple_reflection_perms(data)]
-    identity = np.arange(nroots, dtype=dtype)
-    elements = [identity]
-    index = {identity.tobytes(): 0}
-    frontier = identity[np.newaxis, :]
+    frontier = np.arange(nroots, dtype=dtype)[np.newaxis, :]
+    levels = [frontier]
+    previous_keys = _row_keys(frontier[:0], cols)
+    count = 1
     while frontier.shape[0]:
         candidates = np.concatenate([frontier[:, g] for g in gens], axis=0)
-        unique = np.unique(candidates, axis=0)
-        fresh = []
-        for row in unique:
-            key = row.tobytes()
-            if key not in index:
-                index[key] = len(elements)
-                elements.append(row)
-                fresh.append(row)
-        frontier = (
-            np.stack(fresh) if fresh else np.empty((0, nroots), dtype=dtype)
-        )
-    stacked = np.stack(elements)
+        keys, first = np.unique(_row_keys(candidates, cols), return_index=True)
+        fresh = candidates[first[~np.isin(keys, previous_keys, assume_unique=True)]]
+        previous_keys = _row_keys(frontier, cols)
+        # rows are uint8 (at most 240 roots): byte order is lexicographic order
+        row_bytes = fresh.view(np.dtype((np.void, fresh.itemsize * nroots))).ravel()
+        frontier = fresh[np.argsort(row_bytes)]
+        levels.append(frontier)
+        count += frontier.shape[0]
+        if count > data.w:
+            break
+    stacked = np.concatenate(levels)
     if stacked.shape[0] != data.w:
-        raise AssertionError(
+        raise InvariantViolationError(
             f"{data.type}: enumerated {stacked.shape[0]} elements, expected w = {data.w}"
         )
-    return stacked, index, gens
+    return stacked, cols, gens
 
 
 def enumerate_weyl_group(
@@ -344,42 +369,59 @@ def enumerate_weyl_group(
     """
     data = _as_data(system)
     stacked, _, _ = _enumerate_arrays(data, cap)
-    return [tuple(int(v) for v in row) for row in stacked]
+    return list(map(tuple, stacked.tolist()))
 
 
-def _orbit_count(
-    arr: np.ndarray, index: dict[bytes, int], gens: Sequence[np.ndarray]
-) -> int:
+def _orbit_count(arr: np.ndarray, cols, gens: Sequence[np.ndarray]) -> int:
     """Number of orbits of the rows of ``arr`` under conjugation by ``gens``.
 
-    ``index`` maps each row's bytes to its position in ``arr``; every
-    conjugate of a row must be a row again.
+    Rows are matched by their entries in the columns ``cols``, which must
+    tell the rows apart.  Conjugation by each generator maps every row to a
+    row index (InconsistencyError if a conjugate is not a row).  The orbits
+    are the connected components of these maps, kept as a forest in which
+    every row points at the least row of its component: each generator's
+    edges hook the larger of two differing roots under the smaller one,
+    and pointer jumping flattens the forest again.
     """
-    inverses = []
+    keys = _row_keys(arr, cols)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    last = max(arr.shape[0] - 1, 0)
+    parent = np.arange(arr.shape[0])
     for g in gens:
         inv = np.empty_like(g)
         inv[g] = np.arange(len(g), dtype=g.dtype)
-        inverses.append(inv)
-    assigned = np.zeros(arr.shape[0], dtype=bool)
-    classes = 0
-    for seed in range(arr.shape[0]):
-        if assigned[seed]:
-            continue
-        classes += 1
-        assigned[seed] = True
-        frontier = [seed]
-        while frontier:
-            block = arr[frontier]
-            fresh = []
-            for g, ginv in zip(gens, inverses):
-                conjugates = ginv[block[:, g]]
-                for row in conjugates:
-                    j = index[row.tobytes()]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        fresh.append(j)
-            frontier = fresh
-    return classes
+        # column c of g^-1 x g is inv[x[g[c]]]; map the values in row blocks,
+        # since indexing converts the whole index array to intp
+        conjugates = arr[:, g[cols]]
+        for lo in range(0, conjugates.shape[0], _ROW_BLOCK):
+            block = conjugates[lo:lo + _ROW_BLOCK]
+            block[...] = inv[block]
+        conjugate_keys = _row_keys(conjugates, slice(None))
+        pos = np.minimum(np.searchsorted(sorted_keys, conjugate_keys), last)
+        found = sorted_keys[pos] == conjugate_keys
+        if not found.all():
+            i = int(np.argmin(found))
+            row = tuple(int(v) for v in inv[arr[i, g]])
+            raise InconsistencyError(
+                f"the conjugate {row} of element {i} is not among the elements; "
+                "the set is not closed under conjugation by the generators"
+            )
+        target = order[pos]
+        while True:
+            here, there = parent, parent[target]
+            differ = here != there
+            if not differ.any():
+                break
+            np.minimum.at(
+                parent, np.maximum(here, there)[differ], np.minimum(here, there)[differ]
+            )
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+    return int(np.count_nonzero(parent == np.arange(arr.shape[0])))
 
 
 def conjugacy_class_count(
@@ -395,13 +437,12 @@ def conjugacy_class_count(
     arr = np.asarray(elements)
     dtype = _perm_dtype(arr.shape[1])
     arr = arr.astype(dtype)
-    index = {row.tobytes(): i for i, row in enumerate(arr)}
     gen_arrs = (
         [np.asarray(g, dtype=dtype) for g in generators]
         if generators is not None
         else list(arr)
     )
-    return _orbit_count(arr, index, gen_arrs)
+    return _orbit_count(arr, slice(None), gen_arrs)
 
 
 def enumerated_constants(
@@ -409,5 +450,5 @@ def enumerated_constants(
 ) -> tuple[int, int]:
     """(group order, class count) measured by brute force, for cross-checking."""
     data = _as_data(system)
-    stacked, index, gens = _enumerate_arrays(data, cap)
-    return stacked.shape[0], _orbit_count(stacked, index, gens)
+    stacked, cols, gens = _enumerate_arrays(data, cap)
+    return stacked.shape[0], _orbit_count(stacked, cols, gens)

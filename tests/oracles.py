@@ -3,13 +3,18 @@
 Everything here deliberately avoids the code paths under test: primality by
 trial division, a second (odd-only, bytearray) sieve, quadratic splitting by
 Euler's criterion, cubic splitting by the cubic-residue test, cycle types by
-root counting, and partitions by explicit recursive enumeration.
+root counting, partitions by explicit recursive enumeration, tower counts by
+an exact linear search, and Weyl groups by a dict-keyed BFS and orbit loop.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from chebdens import ResourceLimitError, build_root_system, simple_reflection_perms
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -154,3 +159,134 @@ def slow_fraction_zeta(members, s: int) -> Fraction:
     for p in sorted(members):
         total += Fraction(1, p**s)
     return total
+
+
+def tower_counts_by_linear_search(t: int, queries, r_cap: int) -> list:
+    """For each (m, omega): the least r in 1..r_cap with (1/m)(1 - 1/t)^r < omega/2.
+
+    None where no r up to r_cap qualifies.  One exact pass r = 1, 2, ...
+    over the integers (t-1)^r and t^r serves all queries on the same t; no
+    logarithm seeds it and no power is rounded.  Queries are tried in order
+    of decreasing omega*m, so each step tests one query that stays pending.
+    Each test 2*b*num < a*m*den (omega = a/b) first compares the top 64
+    bits of num and den, which decides it unless the two sides are within
+    the truncation error of each other; then it multiplies out exactly.
+    """
+    answers = [None] * len(queries)
+    pending = sorted(range(len(queries)), key=lambda i: -queries[i][1] * queries[i][0])
+    num, den = 1, 1
+    for r in range(1, r_cap + 1):
+        num *= t - 1
+        den *= t
+        shift = max(den.bit_length() - 64, 0)
+        num_top, den_top = num >> shift, den >> shift
+        while pending:
+            m, omega = queries[pending[0]]
+            lhs, rhs = 2 * omega.denominator, omega.numerator * m
+            # num < (num_top + 1) * 2^shift and likewise for den
+            if lhs * num_top >= rhs * (den_top + 1):
+                break
+            if lhs * (num_top + 1) > rhs * den_top and lhs * num >= rhs * den:
+                break
+            answers[pending.pop(0)] = r
+        if not pending:
+            break
+    return answers
+
+
+# ---------------------------------------------------------------------------
+# Weyl enumeration by a dict-keyed BFS and orbit loop (one Python dict lookup
+# per element and generator), kept as the reference for the array-keyed code
+
+def _dict_bfs_arrays(data, cap: int):
+    """BFS closure of the simple reflections under composition.
+
+    Returns (elements array of shape (w, nroots), index dict keyed by row
+    bytes, generator arrays).  Deterministic: candidates of each level are
+    deduplicated in sorted order.
+    """
+    if data.w > cap:
+        raise ResourceLimitError(
+            f"{data.type}: group order {data.w} exceeds the enumeration cap {cap}; "
+            "use the table constants from constants_for_group"
+        )
+    nroots = len(data.roots)
+    dtype = np.uint8 if nroots <= 255 else np.uint16
+    gens = [np.array(g, dtype=dtype) for g in simple_reflection_perms(data)]
+    identity = np.arange(nroots, dtype=dtype)
+    elements = [identity]
+    index = {identity.tobytes(): 0}
+    frontier = identity[np.newaxis, :]
+    while frontier.shape[0]:
+        candidates = np.concatenate([frontier[:, g] for g in gens], axis=0)
+        unique = np.unique(candidates, axis=0)
+        fresh = []
+        for row in unique:
+            key = row.tobytes()
+            if key not in index:
+                index[key] = len(elements)
+                elements.append(row)
+                fresh.append(row)
+        frontier = (
+            np.stack(fresh) if fresh else np.empty((0, nroots), dtype=dtype)
+        )
+    stacked = np.stack(elements)
+    if stacked.shape[0] != data.w:
+        raise AssertionError(
+            f"{data.type}: enumerated {stacked.shape[0]} elements, expected w = {data.w}"
+        )
+    return stacked, index, gens
+
+
+def _dict_orbit_count(arr, index, gens) -> int:
+    """Number of orbits of the rows of ``arr`` under conjugation by ``gens``.
+
+    ``index`` maps each row's bytes to its position in ``arr``; every
+    conjugate of a row must be a row again.
+    """
+    inverses = []
+    for g in gens:
+        inv = np.empty_like(g)
+        inv[g] = np.arange(len(g), dtype=g.dtype)
+        inverses.append(inv)
+    assigned = np.zeros(arr.shape[0], dtype=bool)
+    classes = 0
+    for seed in range(arr.shape[0]):
+        if assigned[seed]:
+            continue
+        classes += 1
+        assigned[seed] = True
+        frontier = [seed]
+        while frontier:
+            block = arr[frontier]
+            fresh = []
+            for g, ginv in zip(gens, inverses):
+                conjugates = ginv[block[:, g]]
+                for row in conjugates:
+                    j = index[row.tobytes()]
+                    if not assigned[j]:
+                        assigned[j] = True
+                        fresh.append(j)
+            frontier = fresh
+    return classes
+
+
+def weyl_by_dict_bfs(label: str, cap: int = 10**6):
+    """(elements as root permutations in BFS order, (group order, class count))."""
+    stacked, index, gens = _dict_bfs_arrays(build_root_system(label), cap)
+    elements = [tuple(int(v) for v in row) for row in stacked]
+    return elements, (stacked.shape[0], _dict_orbit_count(stacked, index, gens))
+
+
+def class_count_by_dict(elements, generators=None) -> int:
+    """Conjugation orbits of the listed elements (default: under all of them)."""
+    arr = np.asarray(elements)
+    dtype = np.uint8 if arr.shape[1] <= 255 else np.uint16
+    arr = arr.astype(dtype)
+    index = {row.tobytes(): i for i, row in enumerate(arr)}
+    gen_arrs = (
+        [np.asarray(g, dtype=dtype) for g in generators]
+        if generators is not None
+        else list(arr)
+    )
+    return _dict_orbit_count(arr, index, gen_arrs)

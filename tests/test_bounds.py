@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from chebdens import (
     HypothesisFailureError,
     InconsistencyError,
     ResourceLimitError,
+    constants_for_group,
     csp_bound_pipeline,
     factorial_bound,
     idele_index_bound,
@@ -17,7 +20,9 @@ from chebdens import (
     minimal_tower_count,
     report_to_dict,
 )
-from chebdens.bounds import _condition
+from chebdens import bounds
+from chebdens.bounds import DEFAULT_R_CAP, _condition, decimal_str
+from oracles import tower_counts_by_linear_search
 
 positive_small_fractions = st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64)
 
@@ -54,6 +59,114 @@ class TestMinimalTowerCount:
         r = minimal_tower_count(m, t, omega)
         assert _condition(m, t, r, omega)
         assert r == 1 or not _condition(m, t, r - 1, omega)
+
+
+def _cap_message(r_cap: int, t: int) -> str:
+    return (
+        f"minimal r exceeds the certification cap {r_cap} for t = {t}; "
+        "raise r_cap to spend the extra exact-arithmetic effort"
+    )
+
+
+# every irreducible type of rank <= 4
+RANK4_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
+               "C2", "C3", "C4", "D4", "F4", "G2")
+
+
+class TestTowerCountOracle:
+    """minimal_tower_count against an exact linear search from r = 1."""
+
+    @pytest.mark.parametrize(
+        "label", [*RANK4_TYPES, pytest.param("E6", marks=pytest.mark.slow)]
+    )
+    def test_matches_linear_search(self, label):
+        t = constants_for_group(label).t
+        grid = [(m, Fraction(1, m * k)) for m in range(1, 5) for k in range(1, 21)]
+        expected = tower_counts_by_linear_search(t, grid, DEFAULT_R_CAP)
+        for (m, omega), r in zip(grid, expected):
+            if r is None:
+                with pytest.raises(ResourceLimitError) as info:
+                    minimal_tower_count(m, t, omega)
+                assert str(info.value) == _cap_message(DEFAULT_R_CAP, t)
+                continue
+            assert minimal_tower_count(m, t, omega) == r
+            assert minimal_tower_count(m, t, omega, r_cap=r) == r
+            with pytest.raises(ResourceLimitError) as info:
+                minimal_tower_count(m, t, omega, r_cap=r - 1)
+            assert str(info.value) == _cap_message(r - 1, t)
+
+    @pytest.mark.parametrize("label", ["E7", "E8"])
+    def test_default_refusal_message(self, label, monkeypatch):
+        t = constants_for_group(label).t
+        exact_checks = []
+
+        def spy(m, t, r, omega):
+            exact_checks.append(r)
+            return _condition(m, t, r, omega)
+
+        monkeypatch.setattr(bounds, "_condition", spy)
+        for m in range(1, 5):
+            for k in range(1, 21):
+                with pytest.raises(ResourceLimitError) as info:
+                    minimal_tower_count(m, t, Fraction(1, m * k))
+                assert str(info.value) == _cap_message(DEFAULT_R_CAP, t)
+        # the fixed-point bound refuses; no exact power at the cap is built
+        assert set(exact_checks) == {1}
+
+    def test_power_floor_is_a_tight_lower_bound(self):
+        # t = 2 and 4 have an exact base, so only the products are rounded
+        for t in (2, 3, 4, 6, 1152, 51840, 2903040, 696729600):
+            for r in (0, 1, 2, 3, 17, 100, 1000, 4097):
+                exact = ((t - 1) ** r << bounds._FIXED_BITS) // t**r
+                approx = bounds._power_floor(t, r)
+                # the base's rounding error grows about r-fold, each product adds one unit
+                assert approx <= exact <= approx + 2 * r + 2 * r.bit_length() + 2
+
+    def test_caps_below_two(self):
+        # r >= 2 always (omega <= 1/m), so a cap below 2 refuses
+        for r_cap in (-5, 0, 1):
+            with pytest.raises(ResourceLimitError) as info:
+                minimal_tower_count(1, 2, Fraction(1, 2), r_cap=r_cap)
+            assert str(info.value) == _cap_message(r_cap, 2)
+
+
+class TestDecimalStr:
+    """decimal_str against str() with the digit limit lifted."""
+
+    @pytest.fixture(autouse=True)
+    def _no_digit_limit(self):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            yield
+            return
+        old = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_matches_str(self):
+        rng = random.Random(7)
+        values = [0, 1, -1, 9, 10, 10**600, 2**2000, 2**2001 - 1]
+        for digits in (4290, 4299, 4300, 4301, 4310):
+            values.append(rng.randrange(10 ** (digits - 1), 10**digits))
+            values.append(10**digits - 1)
+            values.append(10 ** (digits - 1))
+        values.append(rng.randrange(10**99_999, 10**100_000))
+        for value in values:
+            assert decimal_str(value) == str(value)
+            assert decimal_str(-value) == str(-value)
+
+    def test_million_digits(self):
+        # str() of a 10^6-digit int takes about 20 s here, so the reference is
+        # a random 997-digit block repeated 1003 times, whose value is the
+        # block times (10^(997*1003) - 1) / (10^997 - 1)
+        rng = random.Random(11)
+        block = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=996))
+        value = int(block) * (10 ** (997 * 1003) - 1) // (10**997 - 1)
+        assert decimal_str(value) == block * 1003
+        assert decimal_str(10**999_999) == "1" + "0" * 999_999
 
 
 class TestFactorialBound:
@@ -146,12 +259,8 @@ class TestPipeline:
         assert report.n_exact == 120
         assert report.valuation_budget == 4
 
-    # every irreducible type of rank <= 4
-    _RANK4_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4",
-                    "C2", "C3", "C4", "D4", "F4", "G2")
-
     def test_theta_exceeds_half_omega_and_minimality(self):
-        for label in self._RANK4_TYPES:
+        for label in RANK4_TYPES:
             for m in range(1, 5):
                 for k in range(1, 21):
                     omega = Fraction(1, m * k)

@@ -1,7 +1,12 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from chebdens import (
+    InconsistencyError,
+    InvariantViolationError,
     ResourceLimitError,
     RootSystemType,
     build_root_system,
@@ -15,7 +20,17 @@ from chebdens import (
     simple_reflection_perms,
     weyl_order,
 )
-from oracles import partitions_by_enumeration
+from chebdens import weyl
+from oracles import class_count_by_dict, partitions_by_enumeration, weyl_by_dict_bfs
+
+# every irreducible type whose Weyl group has at most 60 000 elements
+_CANDIDATE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 8)]
+    + [f"D{n}" for n in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+SMALL_TYPES = [label for label in _CANDIDATE_TYPES if weyl_order(parse_type(label)) <= 60_000]
 
 # (label, rank, order, classes) for the cases quoted throughout
 TABLE = [
@@ -157,6 +172,50 @@ class TestEnumeration:
             data = build_root_system(label)
             count = conjugacy_class_count(enumerate_weyl_group(data), simple_reflection_perms(data))
             assert enumerated_constants(label)[1] == count
+
+
+class TestEnumerationOracle:
+    """The array-keyed enumeration against the dict-keyed BFS and orbit loop."""
+
+    @pytest.mark.parametrize("label", [
+        pytest.param(label, marks=pytest.mark.slow)
+        if weyl_order(parse_type(label)) > 20_000 else label
+        for label in SMALL_TYPES
+    ])
+    def test_matches_dict_bfs(self, label):
+        elements, constants = weyl_by_dict_bfs(label)
+        assert enumerate_weyl_group(label) == elements
+        assert enumerated_constants(label) == constants
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+    def test_default_generators_match(self, label):
+        elements = enumerate_weyl_group(label)
+        count = conjugacy_class_count(elements)
+        assert count == class_count_by_dict(elements) == class_count(parse_type(label))
+
+
+class TestTypedErrors:
+    def test_unclosed_set_names_missing_conjugate(self):
+        data = build_root_system("A2")
+        elements = enumerate_weyl_group(data)
+        gens = simple_reflection_perms(data)
+        # drop the second simple reflection, a conjugate of the other reflections
+        missing = gens[1]
+        subset = [e for e in elements if e != missing]
+        with pytest.raises(InconsistencyError, match=re.escape(f"conjugate {missing} of element")):
+            conjugacy_class_count(subset, gens)
+
+    def test_root_count_invariant(self, monkeypatch):
+        monkeypatch.setattr(weyl, "expected_root_count", lambda rst_type: 0)
+        with pytest.raises(InvariantViolationError, match="generated 6 roots, expected 0"):
+            build_root_system("A2")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_element_count_invariant(self, delta):
+        data = build_root_system("B3")
+        wrong = dataclasses.replace(data, w=data.w + delta)
+        with pytest.raises(InvariantViolationError, match="expected w ="):
+            enumerated_constants(wrong)
 
 
 @pytest.mark.slow
