@@ -10,6 +10,7 @@ nonzero; stdout carries data only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -77,41 +78,36 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 _PROGRESS_EVERY = 200_000
+_JSON_CHUNK = 1024  # scan records per json.dumps call
 
 
 def _scan_records(model, lo: int, hi: int):
     """Yield one record per unramified prime; progress goes to stderr.
 
-    Records are computed a block of primes at a time; when a prime fails a
-    check, the records of every prime before it are yielded, then its error
-    is raised.
+    When a prime fails a check, the records of every prime before it are
+    yielded, then its error is raised.
     """
     primes = sieve_primes(PrimeRange(lo, hi))
     primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
-    is_poly = isinstance(model, splitting.SplittingFieldModel)
+    if isinstance(model, splitting.SplittingFieldModel):
+        records = _cycle_records(model, primes)
+    else:
+        splits = splitting.split_mask(model, primes).tolist()
+        records = ({"p": p, "splits": s} for p, s in zip(primes.tolist(), splits))
+    for done, record in enumerate(records, 1):
+        if done % _PROGRESS_EVERY == 0:
+            print(f"... {done} primes scanned, at p = {record['p']}", file=sys.stderr)
+        yield record
+
+
+def _cycle_records(model: splitting.SplittingFieldModel, primes: np.ndarray):
     shapes: dict[tuple[int, ...], tuple[int, ...]] = {}  # factor counts -> cycle type
-    done = 0
-    for start in range(0, primes.size, splitting._BLOCK):
-        block = primes[start:start + splitting._BLOCK]
-        error = None
-        if is_poly:
-            counts, error = splitting._cycle_counts(model, block)
-            records = []
-            for p, col in zip(block.tolist(), map(tuple, counts.T.tolist())):
-                if col not in shapes:
-                    shapes[col] = tuple(k for k, c in enumerate(col, 1) for _ in range(c))
-                shape = shapes[col]
-                records.append({"p": p, "splits": shape[-1] == 1, "cycle_type": list(shape)})
-        else:
-            splits = splitting.split_mask(model, block).tolist()
-            records = [{"p": p, "splits": s} for p, s in zip(block.tolist(), splits)]
-        for record in records:
-            done += 1
-            if done % _PROGRESS_EVERY == 0:
-                print(f"... {done} primes scanned, at p = {record['p']}", file=sys.stderr)
-            yield record
-        if error is not None:
-            raise error
+    for block, counts in splitting._cycle_counts(model, primes):
+        for p, col in zip(block.tolist(), map(tuple, counts.T.tolist())):
+            if col not in shapes:
+                shapes[col] = tuple(k for k, c in enumerate(col, 1) for _ in range(c))
+            shape = shapes[col]
+            yield {"p": p, "splits": shape[-1] == 1, "cycle_type": list(shape)}
 
 
 #: Help text and record columns (in output order) of each scan command.
@@ -145,8 +141,14 @@ def _cmd_scan(args) -> int:
         for rec in _scan_records(model, args.lo, args.hi)
     )
     if args.format == "json":
-        _emit_json({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
-                    "ramified": ramified, "records": list(records)})
+        head = json.dumps({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
+                           "ramified": ramified, "records": []}, sort_keys=True)
+        # "records" sorts last, so the records, encoded a chunk at a time,
+        # go between its brackets; nothing is written before the scan ends
+        body = []
+        while chunk := list(itertools.islice(records, _JSON_CHUNK)):
+            body += (", ", json.dumps(chunk, sort_keys=True)[1:-1])
+        sys.stdout.writelines([head[:-2], *body[1:], "]}\n"])
     elif args.format == "csv":
         print(",".join(columns))
         for rec in records:

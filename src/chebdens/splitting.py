@@ -27,11 +27,12 @@ Two engines compute the same answers.  Single primes (``splits_completely``,
 arithmetic: square-and-multiply for x^p and distinct-degree factorization
 for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
 the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
-GF(p)[x] engine, one int64 column per prime in blocks of ``_BLOCK`` primes:
-a left-to-right ladder computes x^p mod (f, p), and cycle types come from
-the nullities of Q^d - I, Q being Berlekamp's matrix of the Frobenius map
-on GF(p)[x]/(f).  Primes above ``_batch_limit(deg f)``, where int64 sums
-could overflow, fall back to the single-prime code within the same call.
+GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
+left-to-right ladder computes x^p mod (f, p), and cycle types come from the
+nullities of Q^d - I, Q being Berlekamp's matrix of the Frobenius map on
+GF(p)[x]/(f).  A block runs in int64 when its largest prime is at most
+``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
+the same functions on an ``object`` array of Python ints.
 """
 
 from __future__ import annotations
@@ -514,12 +515,10 @@ class SplittingPredicate:
             return out & ~_bad_mask(self.bad_primes, primes)
         model = self.models[0]
         keep = ~_bad_mask(self.bad_primes, primes)
-        counts, error = _cycle_counts(model, primes[keep])
-        if error is not None:
-            raise error
-        target = np.bincount(self.target.degrees, minlength=model.poly_degree + 1)[1:]
+        target = np.bincount(self.target.degrees, minlength=model.poly_degree + 1)[1:, None]
+        hits = [(counts == target).all(axis=0) for _, counts in _cycle_counts(model, primes[keep])]
         out = np.zeros(primes.shape, dtype=bool)
-        out[keep] = (counts == target[:, None]).all(axis=0)
+        out[keep] = np.concatenate(hits or [np.zeros(0, dtype=bool)])
         return out
 
 
@@ -565,34 +564,38 @@ def _bad_mask(bad: frozenset[int], primes: np.ndarray) -> np.ndarray:
 
 
 def _mod_int(value: int, mod: np.ndarray) -> np.ndarray:
-    """``value mod mod`` entrywise for a Python int of any size; mod entries <= 2^32.
+    """``value mod mod`` entrywise for a Python int of any size, in the dtype of ``mod``.
 
-    Horner over 31-bit limbs keeps every intermediate below 2^63.
+    Horner over 31-bit limbs keeps every intermediate below 2^63 for int64
+    entries up to 2^32; ``object`` entries may be of any size.
     """
     n = abs(int(value))
-    r = np.zeros(mod.shape, dtype=np.int64)
+    r = np.zeros(mod.shape, dtype=mod.dtype)
     for shift in range(n.bit_length() // _LIMB_BITS * _LIMB_BITS, -1, -_LIMB_BITS):
         r = ((r << _LIMB_BITS) + ((n >> shift) & _LIMB_MASK)) % mod
     return (-r) % mod if value < 0 else r
 
 
-def _divides_disc(model: SplittingFieldModel, primes: np.ndarray) -> np.ndarray:
-    """Entrywise ``disc f % p == 0``, i.e. where f mod p is not squarefree."""
-    small = primes <= 1 << 32  # the range of _mod_int
-    out = np.zeros(primes.shape, dtype=bool)
-    out[small] = _mod_int(model.discriminant, primes[small]) == 0
-    out[~small] = [model.discriminant % p == 0 for p in primes[~small].tolist()]
-    return out
-
-
 def _batch_limit(n: int) -> int:
-    """Largest prime the engine takes for a degree-n polynomial.
+    """Largest prime the engine takes in int64 for a degree-n polynomial.
 
     The largest sum the engine accumulates before a ``% p`` is n products of
     two residues, at most n*(p-1)^2, which must not exceed 2^63 - 1.  The
     limit is below 2^32 for every n, as ``_mod_int`` needs.
     """
     return 1 + math.isqrt(((1 << 63) - 1) // n)
+
+
+def _blocks(primes: np.ndarray, n: int):
+    """Yield (offset, block) over consecutive blocks of ``_BLOCK`` primes.
+
+    A block stays int64 when its largest prime is at most ``_batch_limit(n)``
+    and becomes an ``object`` array of Python ints otherwise.
+    """
+    limit = _batch_limit(n)
+    for start in range(0, primes.size, _BLOCK):
+        block = primes[start:start + _BLOCK]
+        yield start, block if int(block.max()) <= limit else block.astype(object)
 
 
 def _times_x(a: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -608,7 +611,7 @@ def _times_x(a: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _reduction_rows(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     """x^(n+k) mod (f, p) for k = 0..n-2, shape (n-1, n, B); needs deg f = n >= 2."""
     n = len(poly) - 1
-    red = np.empty((n - 1, n, p.size), dtype=np.int64)
+    red = np.empty((n - 1, n, p.size), dtype=p.dtype)
     red[0] = [_mod_int(-c, p) for c in poly[:-1]]
     for k in range(1, n - 1):
         red[k] = _times_x(red[k - 1], red[0], p)
@@ -618,7 +621,7 @@ def _reduction_rows(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
 def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a * b mod (f, p); each coefficient sums its (at most n) products before one ``% p``."""
     n = a.shape[0]
-    conv = np.zeros((2 * n - 1, p.size), dtype=np.int64)
+    conv = np.zeros((2 * n - 1, p.size), dtype=p.dtype)
     for i in range(n):
         conv[i:i + n] += a[i] * b
     conv %= p
@@ -631,7 +634,7 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
 
 def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set."""
-    r = np.zeros(red.shape[1:], dtype=np.int64)
+    r = np.zeros(red.shape[1:], dtype=red.dtype)
     r[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         r = _block_mulmod(r, r, red, p)
@@ -647,22 +650,16 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         mask = np.isin(primes % m, sorted(model.residues))
         return mask & ~_bad_mask(model.bad_primes, primes)
     mask = ~_bad_mask(model.bad_primes, primes)
-    missed = _divides_disc(model, primes) & mask
-    if missed.any():
-        _require_unramified(model, int(primes[missed.argmax()]))  # raises InconsistencyError
     n = model.poly_degree
-    if n <= 1:
-        return mask
-    limit = _batch_limit(n)
-    low = np.flatnonzero(primes <= limit)
-    for start in range(0, low.size, _BLOCK):
-        idx = low[start:start + _BLOCK]
-        p = primes[idx]
-        xp = _x_pow_p(_reduction_rows(model.poly, p), p)
-        # f | x^p - x, valid since f mod p is squarefree
-        mask[idx] &= (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
-    for i in np.flatnonzero(mask & (primes > limit)).tolist():
-        mask[i] = splits_completely(model, int(primes[i]))
+    for start, p in _blocks(primes, n):
+        part = mask[start:start + _BLOCK]
+        missed = part & (_mod_int(model.discriminant, p) == 0)
+        if missed.any():
+            _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
+        if n > 1:
+            xp = _x_pow_p(_reduction_rows(model.poly, p), p)
+            # f | x^p - x, valid since f mod p is squarefree
+            part &= (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
     return mask
 
 
@@ -732,13 +729,14 @@ def _nullity_inverse(n: int) -> tuple[np.ndarray, int]:
 def _block_cycle_counts(
     model: SplittingFieldModel, p: np.ndarray
 ) -> tuple[np.ndarray, Exception | None, int]:
-    """Counts c_k (shape (n, B)) for primes up to ``_batch_limit``, the first error and its column.
+    """Counts c_k (shape (n, B)) of one block, the first error and its column.
 
     Every check of ``frobenius_cycle_type`` runs per column; the error is the
-    one that function raises at the first failing column (None if none).
+    one that function raises at the first failing column, whose index is
+    returned (None and B if no column fails).
     """
     n = model.poly_degree
-    q = np.zeros((n, n, p.size), dtype=np.int64)  # row i: x^(ip) mod (f, p)
+    q = np.zeros((n, n, p.size), dtype=p.dtype)  # row i: x^(ip) mod (f, p)
     q[0, 0] = 1
     if n > 1:
         red = _reduction_rows(model.poly, p)
@@ -760,7 +758,7 @@ def _block_cycle_counts(
     # the Frobenius order, the lcm of the factor degrees, divides galois_order
     # exactly when every factor degree does
     misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]
-    fail = (_bad_mask(model.bad_primes, p) | _divides_disc(model, p) | broken
+    fail = (_bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0) | broken
             | (counts[misfit] > 0).any(axis=0))
     if not fail.any():
         return counts, None, p.size
@@ -777,39 +775,21 @@ def _block_cycle_counts(
     return counts, error, j
 
 
-def _cycle_counts(
-    model: SplittingFieldModel, primes: np.ndarray
-) -> tuple[np.ndarray, Exception | None]:
-    """Factor-degree counts of f mod p over an array of primes, and the first error.
+def _cycle_counts(model: SplittingFieldModel, primes: np.ndarray):
+    """Factor-degree counts of f mod p over an array of primes, a block at a time.
 
-    Column j of ``counts`` holds c_1..c_n, the numbers of degree-k factors
-    of f mod primes[j], for every prime before the first one at which
-    ``frobenius_cycle_type`` raises; ``error`` is what it raises there (same
-    type and message), or None.  Primes up to ``_batch_limit(n)`` go through
-    the batched engine, larger ones through ``frobenius_cycle_type``.
+    Yields ``(block, counts)`` for consecutive blocks of the array; column j
+    of ``counts`` holds c_1..c_n, the numbers of degree-k factors of f mod
+    block[j].  At the first prime where ``frobenius_cycle_type`` raises, the
+    columns before it are yielded and then the same error (type and message)
+    is raised.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    n = model.poly_degree
-    counts = np.zeros((n, primes.size), dtype=np.int64)
-    stop, error = primes.size, None
-    limit = _batch_limit(n)
-    low = np.flatnonzero(primes <= limit)
-    for start in range(0, low.size, _BLOCK):
-        idx = low[start:start + _BLOCK]
-        counts[:, idx], error, j = _block_cycle_counts(model, primes[idx])
+    for start, p in _blocks(primes, model.poly_degree):
+        counts, error, j = _block_cycle_counts(model, p)
+        yield primes[start:start + j], counts[:, :j]
         if error is not None:
-            stop = int(idx[j])
-            break
-    for j in np.flatnonzero(primes > limit).tolist():
-        if j >= stop:
-            break
-        try:
-            degrees = frobenius_cycle_type(model, int(primes[j])).degrees
-        except (RamifiedPrimeError, InconsistencyError, InvariantViolationError) as exc:
-            stop, error = j, exc
-            break
-        counts[:, j] = np.bincount(degrees, minlength=n + 1)[1:]
-    return counts[:, :stop], error
+            raise error
 
 
 def ramified_primes_in(

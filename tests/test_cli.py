@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import chebdens.cli as cli_mod
 from chebdens import csp_bound_pipeline
 from chebdens.cli import main
 
@@ -42,6 +44,17 @@ class TestSpl:
         )
         assert code == 0
         assert json.loads(out)["records"] == []
+
+    def test_json_records_encoded_in_chunks(self, capsys):
+        # 2261 records take three json.dumps chunks; the spliced text must be
+        # what one json.dumps of the whole payload writes
+        code, out, _ = run_cli(
+            capsys, "spl", "--poly", "1,0,1", "--galois-order", "2", "--hi", "20000"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["records"]) == 2261 > 2 * cli_mod._JSON_CHUNK
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_invalid_residue_model_rejected(self, capsys):
         code, _, err = run_cli(
@@ -96,6 +109,44 @@ def test_scan_output_matches_golden(capsys, case):
     else:
         assert out == golden["stdout"]
     assert (code, err) == (golden["code"], golden["stderr"])
+
+
+class _CountingSink:
+    """A stdout stand-in that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+def test_json_scan_holds_only_its_encoded_text(monkeypatch):
+    # stdout stays empty until a JSON scan ends, so the scan must hold its
+    # encoded text; beyond the peak of the streaming CSV scan it may hold
+    # 1.5x that text, not a dict per record
+    argv = ["spl", "--poly=1,0,1", "--galois-order", "2"]
+    main(argv + ["--hi", "100"])  # one-time allocations stay out of the peaks
+    peaks = {}
+    for fmt in ("csv", "json"):
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--hi", "300000", "--format", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sink.size > 10**6
+    assert peaks["json"] - peaks["csv"] <= 1.5 * sink.size
 
 
 class TestDensity:

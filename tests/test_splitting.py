@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import chebdens.cli as cli_mod
 import chebdens.splitting as splitting_mod
 from chebdens import (
     FrobeniusCycleType,
@@ -27,7 +28,7 @@ from chebdens import (
     splits_completely,
     splitting_field_model,
 )
-from chebdens.primes import PrimeRange, sieve_primes
+from chebdens.primes import PrimeRange, is_prime, sieve_primes
 from oracles import (
     brute_force_factor_degrees,
     cubic_two_splits,
@@ -247,30 +248,39 @@ class TestModelAgreement:
                 expected = False if p in model.bad_primes else splits_completely(model, p)
                 assert bool(mask[i]) == expected
 
-    def test_mask_beyond_vector_limit_uses_scalar_path(self, monkeypatch):
-        # primes just above 2^26 are batched; a window straddling the int64
-        # bound of x^3 - 2 sends the primes above it, and only those, through
-        # the per-prime path in the same call
+    def test_array_paths_never_call_single_prime_code(self, monkeypatch):
+        # primes just above 2^26 run in int64 blocks; a window straddling the
+        # int64 bound of x^3 - 2 runs as one object block of Python ints
         limit = splitting_mod._batch_limit(3)
         assert limit == 1_753_413_057
-        scalar_calls = []
-        scalar = splitting_mod.splits_completely
-
-        def counting(model, p):
-            scalar_calls.append(p)
-            return scalar(model, p)
-
-        monkeypatch.setattr(splitting_mod, "splits_completely", counting)
-        for lo, hi in ((2**26 + 1, 2**26 + 400), (limit - 300, limit + 300)):
+        single = {name: getattr(splitting_mod, name)
+                  for name in ("splits_completely", "frobenius_cycle_type")}
+        calls = []
+        for name, fn in single.items():
+            monkeypatch.setattr(splitting_mod, name,
+                                lambda *args, fn=fn: calls.append(args) or fn(*args))
+        shapes = ((1, 1, 1), (1, 2), (3,))
+        results = []
+        for lo, hi, dtype in ((2**26 + 1, 2**26 + 400, np.int64), (limit - 300, limit + 300, object)):
             big = sieve_primes(PrimeRange(lo, hi))
             assert big.size > 0
             mixed = np.concatenate([np.array([5, 13, 31], dtype=np.int64), big])
-            scalar_calls.clear()
-            mask = split_mask(X3M2, mixed)
-            assert scalar_calls == [p for p in mixed.tolist() if p > limit]
-            for p, got in zip(mixed.tolist(), mask.tolist()):
-                assert got == scalar(X3M2, p)
-        assert scalar_calls and min(big.tolist()) <= limit
+            assert [p.dtype for _, p in splitting_mod._blocks(mixed, 3)] == [dtype]
+            masks = {d: cycle_type_predicate(X3M2, d).mask(mixed) for d in shapes}
+            records = list(cli_mod._scan_records(X3M2, lo, hi))
+            results.append((mixed, split_mask(X3M2, mixed), masks, records))
+        assert calls == []
+        assert min(big.tolist()) <= limit < max(big.tolist())
+        monkeypatch.undo()
+        for mixed, mask, masks, records in results:
+            for i, p in enumerate(mixed.tolist()):
+                degrees = frobenius_cycle_type(X3M2, p).degrees
+                assert bool(mask[i]) == splits_completely(X3M2, p) == cubic_two_splits(p)
+                assert [bool(masks[d][i]) for d in shapes] == [degrees == d for d in shapes]
+            assert [r["p"] for r in records] == mixed.tolist()[3:]
+            for r in records:
+                degrees = frobenius_cycle_type(X3M2, r["p"]).degrees
+                assert (r["splits"], r["cycle_type"]) == (cubic_two_splits(r["p"]), list(degrees))
 
 
 class TestPathAgreement:
@@ -278,7 +288,8 @@ class TestPathAgreement:
         lambda model, p: split_mask(model, np.array([p], dtype=np.int64)),
         lambda model, p: splits_completely(model, p),
         lambda model, p: frobenius_cycle_type(model, p),
-    ], ids=["split_mask", "splits_completely", "frobenius_cycle_type"])
+        lambda model, p: list(splitting_mod._cycle_counts(model, np.array([p], dtype=np.int64))),
+    ], ids=["split_mask", "splits_completely", "frobenius_cycle_type", "cycle_counts"])
     def test_incomplete_bad_primes_raise(self, path):
         # disc(x^2 - 12) = 48, so 3 is ramified but missing from bad_primes
         model = splitting_field_model((-12, 0, 1), 2, bad_primes=[2])
@@ -307,8 +318,37 @@ def _window_primes(lo: int, count: int) -> list[int]:
     return sieve_primes(PrimeRange(lo, lo + 2000)).tolist()[:count]
 
 
+def _primes_near(center: int, count: int) -> list[int]:
+    """The ``count`` primes below ``center`` and the ``count`` primes from it on."""
+    below = [p for p in range(center - 1, center - 5000, -1) if is_prime(p)][:count]
+    above = [p for p in range(center, center + 5000) if is_prime(p)][:count]
+    return sorted(below) + above
+
+
+def _gathered_cycle_counts(model, primes):
+    """The yields of ``_cycle_counts`` concatenated: (primes, counts, error raised or None)."""
+    blocks, error = [], None
+    try:
+        blocks.extend(splitting_mod._cycle_counts(model, primes))
+    except (RamifiedPrimeError, InconsistencyError, InvariantViolationError) as exc:
+        error = exc
+    n = model.poly_degree
+    seen = np.concatenate([np.zeros(0, dtype=np.int64)] + [b for b, _ in blocks])
+    counts = np.concatenate([np.zeros((n, 0), dtype=np.int64)] + [c for _, c in blocks], axis=1)
+    return seen, counts, error
+
+
+def _counts_of(model, p: int) -> list[int]:
+    return np.bincount(frobenius_cycle_type(model, p).degrees, minlength=model.poly_degree + 1)[1:].tolist()
+
+
 class TestBatchedEngineDifferential:
-    """The batched engine against the single-prime code and the root-count oracle."""
+    """The batched engine against the single-prime code and the root-count oracle.
+
+    Each drawn array runs twice: whole, as one block holding primes above
+    the int64 bound (so an object block of Python ints), and restricted to
+    the primes up to that bound (an int64 block).
+    """
 
     @given(
         st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
@@ -329,31 +369,103 @@ class TestBatchedEngineDifferential:
         primes = (_window_primes(small, 4) + _window_primes(2**26 + near_2_26, 3)
                   + _window_primes(limit - below, 3) + _window_primes(limit + above, 3))
         disc = model.discriminant
-        clean = np.array([p for p in primes if disc % p], dtype=np.int64)
-        counts, error = splitting_mod._cycle_counts(model, clean)
-        assert error is None
-        mask = split_mask(model, clean)
-        for j, p in enumerate(clean.tolist()):
-            expected = np.bincount(frobenius_cycle_type(model, p).degrees, minlength=n + 1)[1:]
-            assert counts[:, j].tolist() == expected.tolist(), (poly, p)
-            assert bool(mask[j]) == splits_completely(model, p)
-            if p < 2000:
-                assert counts[0, j] == root_count(poly, p)
-        # an incomplete bad_primes: a prime dividing disc f, placed mid-array
+        whole = np.array([p for p in primes if disc % p], dtype=np.int64)
         ramified = next((q for q in _window_primes(2, 300) if disc % q == 0), None)
-        if ramified is None:
-            return
-        mixed = np.concatenate([clean[:2], [ramified], clean[2:]])
+        if ramified is not None:
+            with pytest.raises(InconsistencyError) as scalar_error:
+                frobenius_cycle_type(model, ramified)
+            with pytest.raises(InconsistencyError):
+                splits_completely(model, ramified)
+        for clean, dtype in ((whole, object), (whole[whole <= limit], np.int64)):
+            assert [p.dtype for _, p in splitting_mod._blocks(clean, n)] == [dtype]
+            seen, counts, error = _gathered_cycle_counts(model, clean)
+            assert error is None and seen.tolist() == clean.tolist()
+            mask = split_mask(model, clean)
+            for j, p in enumerate(clean.tolist()):
+                assert counts[:, j].tolist() == _counts_of(model, p), (poly, p)
+                assert bool(mask[j]) == splits_completely(model, p)
+                if p < 2000:
+                    assert counts[0, j] == root_count(poly, p)
+            # an incomplete bad_primes: a prime dividing disc f, placed mid-array
+            if ramified is None:
+                continue
+            mixed = np.concatenate([clean[:2], [ramified], clean[2:]])
+            with pytest.raises(InconsistencyError) as mask_error:
+                split_mask(model, mixed)
+            with pytest.raises(InconsistencyError) as shape_error:
+                cycle_type_predicate(model, (1,) * n).mask(mixed)
+            seen, counts, error = _gathered_cycle_counts(model, mixed)
+            assert type(error) is InconsistencyError
+            messages = {str(e) for e in (error, mask_error.value, shape_error.value)}
+            assert messages == {str(scalar_error.value)}
+            assert seen.tolist() == clean[:2].tolist() and counts.shape == (n, seen.size)
+
+
+class TestPrimesBeyond2To32:
+    """Array primes far beyond the int64 bound, where blocks hold Python ints."""
+
+    MODELS = (X3M2, splitting_field_model((-1, -1, 0, 0, 0, 1), 120))  # x^3 - 2, x^5 - x - 1
+
+    @pytest.mark.parametrize("center", [2**33, 2**40, 2**61], ids=["2^33", "2^40", "2^61"])
+    def test_array_paths_match_single_prime(self, center, monkeypatch, capsys):
+        window = np.array(_primes_near(center, 3), dtype=np.int64)
+        # the sieve refuses ranges above 2^40, so the scan is handed the window
+        monkeypatch.setattr(cli_mod, "sieve_primes", lambda rng: window)
+        for model in self.MODELS:
+            expected = [frobenius_cycle_type(model, p).degrees for p in window.tolist()]
+            mask = split_mask(model, window)
+            assert mask.tolist() == [splits_completely(model, p) for p in window.tolist()]
+            for degrees in set(expected):
+                shape_mask = cycle_type_predicate(model, degrees).mask(window)
+                assert shape_mask.tolist() == [d == degrees for d in expected]
+            poly = ",".join(map(str, model.poly))
+            code = cli_mod.main(["frob", f"--poly={poly}", "--galois-order", str(model.galois_order),
+                                 "--lo", str(window[0]), "--hi", str(window[-1] + 1),
+                                 "--format", "csv"])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0
+            assert lines == ["p,cycle_type"] + [
+                f"{p},{'|'.join(map(str, d))}" for p, d in zip(window.tolist(), expected)
+            ]
+
+    def test_mod_int_on_object_array(self):
+        mods = np.array([2, 3, 2**32 + 15, 2**40 + 15, 2**61 - 1, 2**63 - 25], dtype=object)
+        for value in (0, -1, 2**31, 2**70 + 1, -(3**200)):
+            got = splitting_mod._mod_int(value, mods)
+            assert got.dtype == object
+            assert got.tolist() == [value % m for m in mods.tolist()]
+
+    def test_incomplete_bad_primes_above_int64_bound(self, capsys):
+        # disc(x^2 - q) = 4q, so q is ramified but missing from bad_primes
+        limit = splitting_mod._batch_limit(2)
+        q = next(p for p in range(limit + 1, limit + 1000) if is_prime(p))
+        model = splitting_field_model((-q, 0, 1), 2, bad_primes=[2])
+        around = sieve_primes(PrimeRange(q - 200, q + 200)).tolist()
+        before = [3, 5, 7] + [p for p in around if p < q]
+        mixed = np.array(before + [p for p in around if p >= q], dtype=np.int64)
+        assert [p.dtype for _, p in splitting_mod._blocks(mixed, 2)] == [object]
         with pytest.raises(InconsistencyError) as scalar_error:
-            frobenius_cycle_type(model, ramified)
-        with pytest.raises(InconsistencyError):
-            splits_completely(model, ramified)
-        with pytest.raises(InconsistencyError):
-            split_mask(model, mixed)
-        counts, error = splitting_mod._cycle_counts(model, mixed)
-        assert type(error) is InconsistencyError
-        assert str(error) == str(scalar_error.value)
-        assert counts.shape == (n, min(2, clean.size))
+            frobenius_cycle_type(model, q)
+        message = str(scalar_error.value)
+        assert f"f mod {q} is not squarefree" in message
+        paths = [
+            lambda: splits_completely(model, q),
+            lambda: split_mask(model, mixed),
+            lambda: cycle_type_predicate(model, (1, 1)).mask(mixed),
+        ]
+        for path in paths:
+            with pytest.raises(InconsistencyError) as error:
+                path()
+            assert str(error.value) == message
+        seen, counts, error = _gathered_cycle_counts(model, mixed)
+        assert (type(error), str(error)) == (InconsistencyError, message)
+        assert seen.tolist() == before
+        assert counts.tolist() == [[_counts_of(model, p)[k] for p in before] for k in range(2)]
+        code = cli_mod.main(["frob", f"--poly={-q},0,1", "--galois-order", "2", "--bad-primes", "2",
+                             "--lo", str(q - 200), "--hi", str(q + 200), "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, f"error: {message}\n")
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == before[3:]
 
 
 class TestPredicates:
