@@ -9,15 +9,12 @@ closure index of a d-dimensional torus.  n is astronomically large in
 general, so the factored form is primary and exact materialization is gated
 by a digit limit.
 
-Every r the search returns is proven by exact integer powers: a float
-logarithm only seeds the starting guess, after which minimality is proven by
-exact checks at r and r-1.  The certification cap is checked lazily: when
-the seed lies within the cap the exact walk starts at the seed and refuses
-only if it would step past the cap; when the seed lies beyond it, a
-fixed-point lower bound of (1 - 1/t)^r_cap (128-bit integers, every product
-rounded down, O(log r_cap) squarings) refuses without exact powers, and the
-exact check at the cap runs only when that bound is inconclusive.  The
-condition is monotone in r, so refusing at the cap is itself a certificate.
+Every r the search returns is certified: a fixed-point enclosure of
+(1 - 1/t)^r (128 bits beyond those of omega's denominator, rounded down and
+up, O(log r) squarings) decides each comparison with omega*m/2, and exact
+integer powers decide only the comparisons the enclosure leaves open.  The condition is monotone in r,
+so one comparison at the cap either refuses, which is itself a certificate,
+or starts a bisection whose answer holds at r and fails at r - 1.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from .calculus import TowerSpec, as_density, tower_theta
 from .errors import HypothesisFailureError, InconsistencyError, InvariantViolationError, ResourceLimitError
@@ -39,11 +36,6 @@ DEFAULT_R_CAP = 100_000
 DEFAULT_MATERIALIZE_LIMIT = 100_000
 
 _LOG10 = math.log(10.0)
-
-
-@lru_cache(maxsize=256)
-def _cached_factorial(k: int) -> int:
-    return math.factorial(k)
 
 
 def decimal_digits(n: int) -> int:
@@ -115,7 +107,7 @@ class FactoredBound:
     times: int
 
     def value(self) -> int:
-        return _cached_factorial(self.factorial_of) ** self.power * self.times
+        return math.factorial(self.factorial_of) ** self.power * self.times
 
     def digit_count_estimate(self) -> int:
         """Decimal length from Stirling/lgamma; reliable away from digit boundaries."""
@@ -155,32 +147,41 @@ def _condition(m: int, t: int, r: int, omega: Fraction) -> bool:
     return 2 * omega.denominator * (t - 1) ** r < omega.numerator * m * t**r
 
 
-#: Fractional bits of the fixed-point lower bound that refuses past the cap.
+#: Fractional bits of the fixed-point enclosure beyond those of omega's denominator.
 _FIXED_BITS = 128
 
 
-def _power_floor(t: int, r: int) -> int:
-    """A lower bound of (1 - 1/t)^r * 2^_FIXED_BITS, by squaring with floor rounding.
+def _power_bounds(t: int, r: int, bits: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= (1 - 1/t)^r * 2^bits <= hi, by squaring.
 
-    Every factor and product is rounded down and all values are nonnegative,
-    so the result never exceeds the exact value (and is 2^_FIXED_BITS for
-    r <= 0).
+    lo rounds every factor and product down and hi rounds them up; all
+    values are nonnegative, so each side keeps its direction (both are
+    2^bits for r <= 0).
     """
-    base = ((t - 1) << _FIXED_BITS) // t
-    acc = 1 << _FIXED_BITS
+    lo = hi = 1 << bits
+    base_lo = ((t - 1) << bits) // t
+    base_hi = -(-((t - 1) << bits) // t)
     while r > 0:
         if r & 1:
-            acc = (acc * base) >> _FIXED_BITS
+            lo = (lo * base_lo) >> bits
+            hi = -(-(hi * base_hi) >> bits)
         r >>= 1
-        base = (base * base) >> _FIXED_BITS
-    return acc
+        base_lo = (base_lo * base_lo) >> bits
+        base_hi = -(-(base_hi * base_hi) >> bits)
+    return lo, hi
 
 
-def _cap_error(r_cap: int, t: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"minimal r exceeds the certification cap {r_cap} for t = {t}; "
-        "raise r_cap to spend the extra exact-arithmetic effort"
-    )
+def _holds(m: int, t: int, r: int, omega: Fraction) -> bool:
+    """``_condition(m, t, r, omega)``, decided by the enclosure unless it straddles omega*m/2."""
+    a, b = omega.numerator, omega.denominator
+    bits = _FIXED_BITS + b.bit_length()  # omega*m/2 >= 1/(2b) then spans >= 2^(_FIXED_BITS-1) units
+    lo, hi = _power_bounds(t, r, bits)
+    rhs = (a * m) << bits
+    if 2 * b * hi < rhs:
+        return True
+    if 2 * b * lo >= rhs:
+        return False
+    return _condition(m, t, r, omega)
 
 
 def minimal_tower_count(m: int, t: int, omega, r_cap: int = DEFAULT_R_CAP) -> int:
@@ -204,34 +205,20 @@ def minimal_tower_count(m: int, t: int, omega, r_cap: int = DEFAULT_R_CAP) -> in
         raise InconsistencyError(
             f"omega = {omega} exceeds the splitting-set density 1/m = 1/{m}"
         )
-    if _condition(m, t, 1, omega):
-        return 1
-    a, b = omega.numerator, omega.denominator
-    # condition is (1 - 1/t)^r < omega*m/2; seed r from logs of the big
-    # integers (finite where float(omega) may underflow), then walk exactly
-    log_target = math.log(a) - math.log(b) + math.log(m) - math.log(2)
-    seed = max(math.ceil(log_target / math.log1p(-1.0 / t)), 2)
-    if seed > r_cap and (
-        2 * b * _power_floor(t, r_cap) >= (a * m) << _FIXED_BITS
-        or not _condition(m, t, r_cap, omega)
-    ):
-        raise _cap_error(r_cap, t)
-    r = min(seed, r_cap)
-    num = (t - 1) ** r  # (t-1)^r and t^r, updated incrementally while walking
-    den = t**r
-    while 2 * b * num >= a * m * den:
-        if r >= r_cap:
-            raise _cap_error(r_cap, t)
-        r += 1
-        num *= t - 1
-        den *= t
-    while r > 2:
-        num_dn, den_dn = num // (t - 1), den // t
-        if 2 * b * num_dn >= a * m * den_dn:
-            break
-        r -= 1
-        num, den = num_dn, den_dn
-    return r
+    if not _holds(m, t, r_cap, omega):
+        raise ResourceLimitError(
+            f"minimal r exceeds the certification cap {r_cap} for t = {t}; "
+            "raise r_cap to spend the extra exact-arithmetic effort"
+        )
+    # the condition fails at r = 0 (omega <= 1/m) and holds at r_cap
+    low, high = 0, r_cap
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _holds(m, t, mid, omega):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def factorial_bound(delta) -> int:
@@ -242,7 +229,7 @@ def factorial_bound(delta) -> int:
     one.
     """
     delta = _validate_delta(delta)
-    return _cached_factorial(_reciprocal_floor(delta) + 1)
+    return math.factorial(_reciprocal_floor(delta) + 1)
 
 
 def _materialized_bound(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance, calculus, density, splitting, weyl
 from .bounds import csp_bound_pipeline, report_to_dict
-from .errors import ModelFormatError
+from .errors import ModelFormatError, ResourceLimitError
 from .primes import PrimeRange, sieve_primes
 
 _CUTOFF_ENV = "CHEBDENS_CUTOFF"
@@ -183,8 +183,16 @@ def _cmd_density(args) -> int:
     return 0
 
 
+#: Positional values each calculus operation reads.
+_CALCULUS_ARITY = {"union-bound": 2, "pigeonhole": 2, "intersection-bound": 3, "selection-bound": 4,
+                   "disjoint-union": 3, "tower-theta": 4, "compositum-degree": 4, "lift-density": 2}
+
+
 def _cmd_calculus(args) -> int:
     op = args.operation
+    need = _CALCULUS_ARITY.get(op, 0)
+    if len(args.values) < need:
+        raise ValueError(f"{op} needs {need} values, got {len(args.values)}")
     result: object
     if op == "union-bound":
         result = calculus.union_upper_bound(args.values[0], args.values[1])
@@ -208,17 +216,19 @@ def _cmd_calculus(args) -> int:
     elif op == "lift-density":
         result = density.lift_density(args.values[0], int(args.values[1]))
     elif op == "inclusion-exclusion":
+        if args.densities is None:
+            raise ValueError("inclusion-exclusion needs --densities")
         table = {}
         for entry in args.densities.split(";"):
             key, _, val = entry.partition(":")
-            table[tuple(int(i) for i in key.split(","))] = Fraction(val)
+            table[tuple(int(i) for i in key.split(","))] = _parse_fraction(val)
         result = calculus.inclusion_exclusion_density(table)
-    elif op == "ie-check":
+    else:  # ie-check; argparse restricts the choices
+        if args.sets is None:
+            raise ValueError("ie-check needs --sets")
         sets = [[int(x) for x in chunk.split(",") if x.strip()] for chunk in args.sets.split(";")]
         equal, residual = calculus.truncated_inclusion_exclusion_check(sets, args.s)
         result = {"equal": equal, "residual": residual}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown operation {op}")
 
     def encode(value):
         if isinstance(value, Fraction):
@@ -343,7 +353,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except Exception as exc:  # argparse handles its own errors; ours exit 1
+    # bad input exits 1 (argparse handles its own errors); a bug raises its traceback
+    except (ValueError, argparse.ArgumentTypeError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: primality by
 trial division, a second (odd-only, bytearray) sieve, quadratic splitting by
 Euler's criterion, cubic splitting by the cubic-residue test, cycle types by
 root counting, partitions by explicit recursive enumeration, tower counts by
-an exact linear search, and Weyl groups by a dict-keyed BFS and orbit loop.
+an exact linear search (and by 80-digit mpmath past exact powers), and Weyl
+groups by a dict-keyed BFS and orbit loop.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from chebdens import ResourceLimitError, build_root_system, simple_reflection_perms
@@ -192,6 +194,20 @@ def tower_counts_by_linear_search(t: int, queries, r_cap: int) -> list:
         if not pending:
             break
     return answers
+
+
+def tower_condition_mpmath(m: int, t: int, r: int, omega: Fraction) -> bool:
+    """(1/m)(1 - 1/t)^r < omega/2 in 80-digit mpmath floats, for r far past exact powers.
+
+    Raises when the two sides agree to within 10^-60 relative, where the
+    floating comparison could not decide.
+    """
+    with mpmath.workdps(80):
+        lhs = mpmath.exp(r * mpmath.log1p(-mpmath.mpf(1) / t)) / m
+        rhs = mpmath.mpf(omega.numerator) / (2 * omega.denominator)
+        if abs(lhs - rhs) <= rhs * mpmath.mpf(10) ** -60:
+            raise ValueError(f"80-digit comparison undecided at r = {r}")
+        return bool(lhs < rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from chebdens import (
 )
 from chebdens import bounds
 from chebdens.bounds import DEFAULT_R_CAP, _condition, decimal_str
-from oracles import tower_counts_by_linear_search
+from oracles import tower_condition_mpmath, tower_counts_by_linear_search
 
 positive_small_fractions = st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64)
 
@@ -110,17 +111,79 @@ class TestTowerCountOracle:
                 with pytest.raises(ResourceLimitError) as info:
                     minimal_tower_count(m, t, Fraction(1, m * k))
                 assert str(info.value) == _cap_message(DEFAULT_R_CAP, t)
-        # the fixed-point bound refuses; no exact power at the cap is built
-        assert set(exact_checks) == {1}
+        # the fixed-point enclosure refuses; no exact power is built
+        assert exact_checks == []
 
-    def test_power_floor_is_a_tight_lower_bound(self):
+    def test_power_bounds_are_a_tight_enclosure(self):
         # t = 2 and 4 have an exact base, so only the products are rounded
+        bits = bounds._FIXED_BITS
         for t in (2, 3, 4, 6, 1152, 51840, 2903040, 696729600):
             for r in (0, 1, 2, 3, 17, 100, 1000, 4097):
-                exact = ((t - 1) ** r << bounds._FIXED_BITS) // t**r
-                approx = bounds._power_floor(t, r)
+                num, den = (t - 1) ** r << bits, t**r
+                floor, ceil = num // den, -(-num // den)
+                lo, hi = bounds._power_bounds(t, r, bits)
                 # the base's rounding error grows about r-fold, each product adds one unit
-                assert approx <= exact <= approx + 2 * r + 2 * r.bit_length() + 2
+                margin = 2 * r + 2 * r.bit_length() + 2
+                assert lo <= floor <= lo + margin
+                assert hi - margin <= ceil <= hi
+
+    @pytest.mark.parametrize("fixed_bits", [1, 4])
+    def test_exact_fallback_when_the_enclosure_is_loose(self, fixed_bits, monkeypatch):
+        exact_checks = []
+
+        def spy(m, t, r, omega):
+            exact_checks.append(r)
+            return _condition(m, t, r, omega)
+
+        monkeypatch.setattr(bounds, "_condition", spy)
+        monkeypatch.setattr(bounds, "_FIXED_BITS", fixed_bits)
+        grid = [(m, Fraction(1, m * k)) for m in range(1, 5) for k in range(1, 21)]
+        for label in RANK4_TYPES:
+            t = constants_for_group(label).t
+            # caps near the answer keep the exact powers small; every r is found below 10^5
+            for (m, omega), r in zip(grid, tower_counts_by_linear_search(t, grid, DEFAULT_R_CAP)):
+                assert minimal_tower_count(m, t, omega, r_cap=2 * r) == r
+                with pytest.raises(ResourceLimitError) as info:
+                    minimal_tower_count(m, t, omega, r_cap=r - 1)
+                assert str(info.value) == _cap_message(r - 1, t)
+        assert exact_checks
+        # (1/2)^2 = 1/4 and (2/3)^2 = 4/9 equal omega/2 at r = 2, so r = 3;
+        # only the second enclosure straddles the threshold and needs exact powers
+        exact_checks.clear()
+        assert minimal_tower_count(1, 2, Fraction(1, 2)) == 3
+        assert minimal_tower_count(1, 3, Fraction(8, 9)) == 3
+        assert 2 in exact_checks
+
+    @pytest.mark.parametrize(
+        ("label", "m", "omega", "expected"),
+        [
+            ("E7", 1, Fraction(1, 2), 4_024_468),
+            ("E7", 1, Fraction(1, 3), 5_201_549),
+            ("E7", 2, Fraction(1, 5), 4_672_262),
+            ("E8", 1, Fraction(1, 2), 965_872_316),
+            ("E8", 1, Fraction(1, 3), 1_248_371_858),
+            ("E8", 2, Fraction(1, 5), 1_121_343_033),
+        ],
+    )
+    def test_certified_beyond_the_default_cap(self, label, m, omega, expected):
+        t = constants_for_group(label).t
+        start = time.perf_counter()
+        r = minimal_tower_count(m, t, omega, r_cap=10**10)
+        elapsed = time.perf_counter() - start
+        assert r == expected
+        assert tower_condition_mpmath(m, t, r, omega)
+        assert not tower_condition_mpmath(m, t, r - 1, omega)
+        assert elapsed < 0.05
+
+    def test_tiny_omega_with_a_large_cap(self):
+        # omega/2 and the bisection's powers lie far below 2^-_FIXED_BITS; the
+        # enclosure still decides them, where 3^(10^7) would take seconds
+        omega = Fraction(1, 10**60)
+        start = time.perf_counter()
+        r = minimal_tower_count(1, 3, omega, r_cap=10**7)
+        elapsed = time.perf_counter() - start
+        assert _condition(1, 3, r, omega) and not _condition(1, 3, r - 1, omega)
+        assert elapsed < 0.05
 
     def test_caps_below_two(self):
         # r >= 2 always (omega <= 1/m), so a cap below 2 refuses

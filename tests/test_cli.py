@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chebdens.cli as cli_mod
-from chebdens import csp_bound_pipeline
+from chebdens import InvariantViolationError, csp_bound_pipeline
 from chebdens.cli import main
 
 # exit code, stdout and stderr of spl and frob in every format, on a polynomial
@@ -290,6 +290,48 @@ class TestBounds:
         finally:
             sys.set_int_max_str_digits(limit)
         assert theta == csp_bound_pipeline("E6", 1, 1).theta
+
+
+class TestErrorBoundary:
+    """Bad input exits 1 with one stderr line; a bug keeps its traceback."""
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("spl", "--model", "no-such-model.json", "--hi", "10"),
+             "error: [Errno 2] No such file or directory: 'no-such-model.json'\n"),
+            (("bounds", "--type", "E8", "--m", "1", "--omega", "1/2"),
+             "error: minimal r exceeds the certification cap 100000 for t = 696729600; "
+             "raise r_cap to spend the extra exact-arithmetic effort\n"),
+            (("calculus", "union-bound", "1/2"), "error: union-bound needs 2 values, got 1\n"),
+            (("calculus", "inclusion-exclusion"), "error: inclusion-exclusion needs --densities\n"),
+            (("calculus", "ie-check"), "error: ie-check needs --sets\n"),
+            (("calculus", "inclusion-exclusion", "--densities", "1:1/0"),
+             "error: expected a rational like 3/8, got '1/0'\n"),
+        ],
+        ids=["missing-model-file", "cap-refusal", "missing-values", "missing-densities",
+             "missing-sets", "zero-denominator"],
+    )
+    def test_input_errors_exit_1(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", message)
+
+    @pytest.mark.parametrize(
+        "error", [KeyError("missing"), InvariantViolationError("broken")], ids=["KeyError", "invariant"]
+    )
+    def test_bugs_propagate(self, monkeypatch, error):
+        def broken(_type):
+            raise error
+
+        monkeypatch.setattr(cli_mod.weyl, "constants_for_group", broken)
+        with pytest.raises(type(error)):
+            main(["weyl", "A2"])
+
+    def test_broken_pipe_exits_0(self, monkeypatch):
+        def closed(_type):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli_mod.weyl, "constants_for_group", closed)
+        assert main(["weyl", "A2"]) == 0
 
 
 class TestDeterminism:
