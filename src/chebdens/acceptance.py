@@ -261,8 +261,13 @@ def run_acceptance(
     seed: int = 0,
     out: Callable[[str], None] | None = print,
 ) -> list[CriterionResult]:
-    """Run every criterion, emitting one pass/fail line per criterion."""
+    """Run every criterion, emitting one pass/fail line per criterion.
+
+    A cutoff below 3, with no prime below it, is rejected before any criterion runs.
+    """
     cutoff = density.DEFAULT_CUTOFF if cutoff is None else int(cutoff)
+    if cutoff < 3:
+        raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     results = []
     for func in _CRITERIA:
         try:

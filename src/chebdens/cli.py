@@ -10,7 +10,6 @@ nonzero; stdout carries data only.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance, calculus, density, splitting, weyl
-from .bounds import csp_bound_pipeline, report_to_dict
+from .bounds import DEFAULT_MATERIALIZE_LIMIT, csp_bound_pipeline, report_to_dict
 from .errors import ModelFormatError, ResourceLimitError
 from .primes import PrimeRange, sieve_primes
 
@@ -47,8 +46,10 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _emit_json(payload) -> None:
-    # json.dumps takes the C encoder; json.dump to a stream never does
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    # json.dumps takes the C encoder; json.dump to a stream never does.  The
+    # one type a payload holds that JSON lacks is Fraction, written as "n/d".
+    text = json.dumps(payload, sort_keys=True, default=lambda q: f"{q.numerator}/{q.denominator}")
+    sys.stdout.write(text + "\n")
 
 
 def _model_from_args(args) -> splitting.GaloisExtensionModel:
@@ -78,36 +79,30 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 _PROGRESS_EVERY = 200_000
-_JSON_CHUNK = 1024  # scan records per json.dumps call
 
 
-def _scan_records(model, lo: int, hi: int):
-    """Yield one record per unramified prime; progress goes to stderr.
+def _scan_blocks(model, lo: int, hi: int, ramified: list[int]):
+    """Yield, per engine block, its primes, one shape index per prime, and its shapes' records.
 
-    When a prime fails a check, the records of every prime before it are
-    yielded, then its error is raised.
+    The primes are those of [lo, hi) outside ``ramified``.  A record holds
+    ``splits`` and, for a splitting-field model, ``cycle_type``, but not
+    ``p``; an abelian model gives one block with two shapes.  When a prime
+    fails a check, the block of the primes before it is yielded, then its
+    error is raised.
     """
     primes = sieve_primes(PrimeRange(lo, hi))
-    primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
-    if isinstance(model, splitting.SplittingFieldModel):
-        records = _cycle_records(model, primes)
-    else:
+    primes = primes[~np.isin(primes, ramified)]
+    if not isinstance(model, splitting.SplittingFieldModel):
         splits = splitting.split_mask(model, primes).tolist()
-        records = ({"p": p, "splits": s} for p, s in zip(primes.tolist(), splits))
-    for done, record in enumerate(records, 1):
-        if done % _PROGRESS_EVERY == 0:
-            print(f"... {done} primes scanned, at p = {record['p']}", file=sys.stderr)
-        yield record
-
-
-def _cycle_records(model: splitting.SplittingFieldModel, primes: np.ndarray):
-    shapes: dict[tuple[int, ...], tuple[int, ...]] = {}  # factor counts -> cycle type
+        yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
+        return
     for block, counts in splitting._cycle_counts(model, primes):
-        for p, col in zip(block.tolist(), map(tuple, counts.T.tolist())):
-            if col not in shapes:
-                shapes[col] = tuple(k for k, c in enumerate(col, 1) for _ in range(c))
-            shape = shapes[col]
-            yield {"p": p, "splits": shape[-1] == 1, "cycle_type": list(shape)}
+        index = np.zeros(block.size, dtype=np.int64)
+        for row in counts:  # index ranks the columns by their rows read so far
+            _, first, index = np.unique(index * (model.poly_degree + 1) + row,
+                                        return_index=True, return_inverse=True)
+        shapes = [[k for k, c in enumerate(col, 1) for _ in range(c)] for col in counts.T[first].tolist()]
+        yield block.tolist(), index.tolist(), [{"splits": s[-1] == 1, "cycle_type": s} for s in shapes]
 
 
 #: Help text and record columns (in output order) of each scan command.
@@ -129,34 +124,43 @@ def _cmd_scan(args) -> int:
 
     A column a record lacks (cycle types of an abelian model) is left out of
     JSON and human lines and written empty in CSV; a scan without a
-    ``splits`` column needs cycle types, so it rejects abelian models.
+    ``splits`` column needs cycle types, so it rejects abelian models.  Each
+    distinct record of a block is encoded once, with p = -1 (no other field
+    holds a minus sign), and each prime splices ``str(p)`` in its place; CSV
+    and human lines are written a block at a time, after its progress lines.
     """
     columns = args.columns
     model = _model_from_args(args)
     if "splits" not in columns and not isinstance(model, splitting.SplittingFieldModel):
         raise ModelFormatError("cycle types require a splitting_field model")
     ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
-    records = (
-        {col: rec[col] for col in columns if col in rec}
-        for rec in _scan_records(model, args.lo, args.hi)
-    )
     if args.format == "json":
-        head = json.dumps({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
-                           "ramified": ramified, "records": []}, sort_keys=True)
-        # "records" sorts last, so the records, encoded a chunk at a time,
-        # go between its brackets; nothing is written before the scan ends
-        body = []
-        while chunk := list(itertools.islice(records, _JSON_CHUNK)):
-            body += (", ", json.dumps(chunk, sort_keys=True)[1:-1])
-        sys.stdout.writelines([head[:-2], *body[1:], "]}\n"])
+        sep, encode = ", ", lambda rec: json.dumps({col: rec[col] for col in columns if col in rec},
+                                                   sort_keys=True)
     elif args.format == "csv":
         print(",".join(columns))
-        for rec in records:
-            print(",".join(_csv_cell(col, rec[col]) if col in rec else "" for col in columns))
+        sep, encode = "\n", lambda rec: ",".join(
+            _csv_cell(col, rec[col]) if col in rec else "" for col in columns)
     else:
         print(f"# ramified: {ramified}")
-        for rec in records:
-            print(" ".join(f"{_HUMAN_LABELS[col]}={rec[col]}" for col in columns if col in rec))
+        sep, encode = "\n", lambda rec: " ".join(
+            f"{_HUMAN_LABELS[col]}={rec[col]}" for col in columns if col in rec)
+    body, done = [], 0
+    for block, index, records in _scan_blocks(model, args.lo, args.hi, ramified):
+        for at in range((-done - 1) % _PROGRESS_EVERY, len(block), _PROGRESS_EVERY):
+            print(f"... {done + at + 1} primes scanned, at p = {block[at]}", file=sys.stderr)
+        done += len(block)
+        parts = [encode({"p": -1, **rec}).split("-1") for rec in records]
+        text = sep.join([str(p).join(parts[i]) for p, i in zip(block, index)])
+        if args.format == "json":
+            body += (sep, text)
+        elif block:  # an empty block precedes an error or ends an empty scan
+            print(text)
+    if args.format == "json":
+        # "records" sorts last, so the block texts go between its brackets
+        head = json.dumps({"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
+                           "ramified": ramified, "records": []}, sort_keys=True)
+        sys.stdout.writelines([head[:-2], *body[1:], "]}\n"])
     return 0
 
 
@@ -175,69 +179,64 @@ def _cmd_density(args) -> int:
     if args.format == "csv":
         density.write_convergence_csv(rows, sys.stdout)
     elif args.format == "json":
-        _emit_json({"kind": args.kind, "reference": f"{reference.numerator}/{reference.denominator}",
-                    "rows": rows})
+        _emit_json({"kind": args.kind, "reference": reference, "rows": rows})
     else:
         for row in rows:
             print("  ".join(f"{k}={v}" for k, v in row.items()))
     return 0
 
 
-#: Positional values each calculus operation reads.
-_CALCULUS_ARITY = {"union-bound": 2, "pigeonhole": 2, "intersection-bound": 3, "selection-bound": 4,
-                   "disjoint-union": 3, "tower-theta": 4, "compositum-degree": 4, "lift-density": 2}
+def _whole(value: Fraction) -> int:
+    """An integer argument of a calculus operation; a non-integral value is an error."""
+    if value.denominator != 1:
+        raise ValueError(f"expected an integer, got {value}")
+    return value.numerator
+
+
+def _tower(m: Fraction, t: Fraction, r: Fraction) -> calculus.TowerSpec:
+    return calculus.TowerSpec(_whole(m), _whole(t), _whole(r))
+
+
+def _inclusion_exclusion(args) -> Fraction:
+    if args.densities is None:
+        raise ValueError(f"{args.operation} needs --densities")
+    table = {}
+    for entry in args.densities.split(";"):
+        key, _, val = entry.partition(":")
+        table[tuple(int(i) for i in key.split(","))] = _parse_fraction(val)
+    return calculus.inclusion_exclusion_density(table)
+
+
+def _ie_check(args) -> dict:
+    if args.sets is None:
+        raise ValueError(f"{args.operation} needs --sets")
+    sets = [[int(x) for x in chunk.split(",") if x.strip()] for chunk in args.sets.split(";")]
+    equal, residual = calculus.truncated_inclusion_exclusion_check(sets, args.s)
+    return {"equal": equal, "residual": residual}
+
+
+#: Each calculus operation, in ``--help`` order: how many positional values
+#: it reads, and its call on the parsed arguments and those values.
+_CALCULUS = {
+    "union-bound": (2, lambda _, a, b: calculus.union_upper_bound(a, b)),
+    "pigeonhole": (2, lambda _, eps, r: calculus.pigeonhole_threshold(eps, _whole(r))),
+    "intersection-bound": (3, lambda _, a, b, c: calculus.intersection_lower_bound(a, b, c)),
+    "selection-bound": (4, lambda _, a, u, c, r: vars(calculus.selection_lower_bound(a, u, c, _whole(r)))),
+    "disjoint-union": (3, lambda _, m, t, r: calculus.disjoint_union_density(_tower(m, t, r))),
+    "tower-theta": (4, lambda _, omega, m, t, r: vars(calculus.tower_theta(omega, _tower(m, t, r)))),
+    "compositum-degree": (4, lambda _, m, t, r, k: calculus.compositum_degree(_tower(m, t, r), _whole(k))),
+    "lift-density": (2, lambda _, delta, degree: density.lift_density(delta, _whole(degree))),
+    "inclusion-exclusion": (0, _inclusion_exclusion),
+    "ie-check": (0, _ie_check),
+}
 
 
 def _cmd_calculus(args) -> int:
     op = args.operation
-    need = _CALCULUS_ARITY.get(op, 0)
+    need, call = _CALCULUS[op]
     if len(args.values) < need:
         raise ValueError(f"{op} needs {need} values, got {len(args.values)}")
-    result: object
-    if op == "union-bound":
-        result = calculus.union_upper_bound(args.values[0], args.values[1])
-    elif op == "pigeonhole":
-        result = calculus.pigeonhole_threshold(args.values[0], int(args.values[1]))
-    elif op == "intersection-bound":
-        result = calculus.intersection_lower_bound(*args.values[:3])
-    elif op == "selection-bound":
-        tb = calculus.selection_lower_bound(args.values[0], args.values[1], args.values[2], int(args.values[3]))
-        result = {"theta": tb.theta, "bound": tb.bound, "vacuous": tb.vacuous}
-    elif op == "disjoint-union":
-        spec = calculus.TowerSpec(int(args.values[0]), int(args.values[1]), int(args.values[2]))
-        result = calculus.disjoint_union_density(spec)
-    elif op == "tower-theta":
-        spec = calculus.TowerSpec(int(args.values[1]), int(args.values[2]), int(args.values[3]))
-        tb = calculus.tower_theta(args.values[0], spec)
-        result = {"theta": tb.theta, "bound": tb.bound, "vacuous": tb.vacuous}
-    elif op == "compositum-degree":
-        spec = calculus.TowerSpec(int(args.values[0]), int(args.values[1]), int(args.values[2]))
-        result = calculus.compositum_degree(spec, int(args.values[3]))
-    elif op == "lift-density":
-        result = density.lift_density(args.values[0], int(args.values[1]))
-    elif op == "inclusion-exclusion":
-        if args.densities is None:
-            raise ValueError("inclusion-exclusion needs --densities")
-        table = {}
-        for entry in args.densities.split(";"):
-            key, _, val = entry.partition(":")
-            table[tuple(int(i) for i in key.split(","))] = _parse_fraction(val)
-        result = calculus.inclusion_exclusion_density(table)
-    else:  # ie-check; argparse restricts the choices
-        if args.sets is None:
-            raise ValueError("ie-check needs --sets")
-        sets = [[int(x) for x in chunk.split(",") if x.strip()] for chunk in args.sets.split(";")]
-        equal, residual = calculus.truncated_inclusion_exclusion_check(sets, args.s)
-        result = {"equal": equal, "residual": residual}
-
-    def encode(value):
-        if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
-        if isinstance(value, dict):
-            return {k: encode(v) for k, v in value.items()}
-        return value
-
-    _emit_json({"operation": op, "result": encode(result)})
+    _emit_json({"operation": op, "result": call(args, *args.values[:need])})
     return 0
 
 
@@ -276,7 +275,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cutoff = args.cutoff if args.cutoff else _default_cutoff()
+    cutoff = args.cutoff if args.cutoff is not None else _default_cutoff()
     results = acceptance.run_acceptance(cutoff=cutoff, seed=args.seed)
     return 0 if all(res.passed for res in results) else 1
 
@@ -306,14 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.set_defaults(func=_cmd_density)
 
     p_calc = sub.add_parser("calculus", help="exact rational density operations")
-    p_calc.add_argument(
-        "operation",
-        choices=(
-            "union-bound", "pigeonhole", "intersection-bound", "selection-bound",
-            "disjoint-union", "tower-theta", "compositum-degree", "lift-density",
-            "inclusion-exclusion", "ie-check",
-        ),
-    )
+    p_calc.add_argument("operation", choices=tuple(_CALCULUS))
     p_calc.add_argument("values", nargs="*", type=_parse_fraction,
                         help="positional rational arguments for the chosen operation")
     p_calc.add_argument("--densities", help="inclusion-exclusion table like '1:1/2;2:1/2;1,2:1/4'")
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--omega", type=_parse_fraction, required=True,
                           help="density of S intersected with the splitting set, e.g. 1/2")
     p_bounds.add_argument("--rho", type=int, default=1)
-    p_bounds.add_argument("--materialize-limit", type=int, default=100_000,
+    p_bounds.add_argument("--materialize-limit", type=int, default=DEFAULT_MATERIALIZE_LIMIT,
                           help="materialize n exactly only below this many digits")
     p_bounds.set_defaults(func=_cmd_bounds)
 

@@ -4,19 +4,24 @@ Everything here deliberately avoids the code paths under test: primality by
 trial division, a second (odd-only, bytearray) sieve, quadratic splitting by
 Euler's criterion, cubic splitting by the cubic-residue test, cycle types by
 root counting, partitions by explicit recursive enumeration, tower counts by
-an exact linear search (and by 80-digit mpmath past exact powers), and Weyl
-groups by a dict-keyed BFS and orbit loop.
+an exact linear search (and by 80-digit mpmath past exact powers), Weyl
+groups by a dict-keyed BFS and orbit loop, and ``spl``/``frob`` output by one
+dict per scan record.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from chebdens import ResourceLimitError, build_root_system, simple_reflection_perms
+from chebdens import ResourceLimitError, build_root_system, cli, simple_reflection_perms, splitting
+from chebdens.errors import ModelFormatError
+from chebdens.primes import PrimeRange, sieve_primes
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -306,3 +311,60 @@ def class_count_by_dict(elements, generators=None) -> int:
         else list(arr)
     )
     return _dict_orbit_count(arr, index, gen_arrs)
+
+
+def _scan_records_per_prime(model, lo: int, hi: int):
+    """One record dict per unramified prime of [lo, hi); progress goes to stderr.
+
+    When a prime fails a check, the records of every prime before it are
+    yielded, then its error is raised.
+    """
+    primes = sieve_primes(PrimeRange(lo, hi))
+    primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
+    if isinstance(model, splitting.SplittingFieldModel):
+        records = (
+            {"p": p, "splits": shape[-1] == 1, "cycle_type": shape}
+            for block, counts in splitting._cycle_counts(model, primes)
+            for p, shape in zip(block.tolist(), (
+                [k for k, c in enumerate(col, 1) for _ in range(c)] for col in counts.T.tolist()))
+        )
+    else:
+        splits = splitting.split_mask(model, primes).tolist()
+        records = ({"p": p, "splits": s} for p, s in zip(primes.tolist(), splits))
+    for done, record in enumerate(records, 1):
+        if done % cli._PROGRESS_EVERY == 0:
+            print(f"... {done} primes scanned, at p = {record['p']}", file=sys.stderr)
+        yield record
+
+
+def scan_per_record(args) -> int:
+    """``chebdens spl``/``frob`` rendered one dict per record, line by line.
+
+    A drop-in for the CLI's scan handler: the same model parsing and engine,
+    but every record is filtered, formatted and printed on its own, and the
+    JSON payload is one ``json.dumps``.
+    """
+    columns = args.columns
+    model = cli._model_from_args(args)
+    if "splits" not in columns and not isinstance(model, splitting.SplittingFieldModel):
+        raise ModelFormatError("cycle types require a splitting_field model")
+    ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
+    records = (
+        {col: rec[col] for col in columns if col in rec}
+        for rec in _scan_records_per_prime(model, args.lo, args.hi)
+    )
+    if args.format == "json":
+        payload = {"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],
+                   "ramified": ramified, "records": list(records)}
+        print(json.dumps(payload, sort_keys=True))
+    elif args.format == "csv":
+        print(",".join(columns))
+        for rec in records:
+            print(",".join(("|".join(map(str, rec[col])) if col == "cycle_type" else str(int(rec[col])))
+                           if col in rec else "" for col in columns))
+    else:
+        labels = {"p": "p", "splits": "splits", "cycle_type": "cycle"}
+        print(f"# ramified: {ramified}")
+        for rec in records:
+            print(" ".join(f"{labels[col]}={rec[col]}" for col in columns if col in rec))
+    return 0

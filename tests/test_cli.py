@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import chebdens.cli as cli_mod
+import chebdens.splitting as splitting_mod
 from chebdens import InvariantViolationError, csp_bound_pipeline
 from chebdens.cli import main
+from oracles import scan_per_record
 
 # exit code, stdout and stderr of spl and frob in every format, on a polynomial
 # and an abelian model, on scans that fail midway (a wrong galois_order, an
@@ -46,14 +48,14 @@ class TestSpl:
         assert json.loads(out)["records"] == []
 
     def test_json_records_encoded_in_chunks(self, capsys):
-        # 2261 records take three json.dumps chunks; the spliced text must be
-        # what one json.dumps of the whole payload writes
+        # 17983 records span three engine blocks, encoded a block at a time;
+        # the spliced text must be what one json.dumps of the whole payload writes
         code, out, _ = run_cli(
-            capsys, "spl", "--poly", "1,0,1", "--galois-order", "2", "--hi", "20000"
+            capsys, "spl", "--poly", "1,0,1", "--galois-order", "2", "--hi", "200000"
         )
         assert code == 0
         payload = json.loads(out)
-        assert len(payload["records"]) == 2261 > 2 * cli_mod._JSON_CHUNK
+        assert len(payload["records"]) == 17983 > 2 * splitting_mod._BLOCK
         assert out == json.dumps(payload, sort_keys=True) + "\n"
 
     def test_invalid_residue_model_rejected(self, capsys):
@@ -109,6 +111,43 @@ def test_scan_output_matches_golden(capsys, case):
     else:
         assert out == golden["stdout"]
     assert (code, err) == (golden["code"], golden["stderr"])
+
+
+# spl/frob against the one-dict-per-record oracle, as (argv, progress interval
+# or None for the default): abelian, cubic, degree-1 and quintic models, scans
+# over more than one engine block, progress lines at a block's last and next
+# record, and scans that fail at their first prime, in the middle of a block
+# (x^2 - 90001 with 90001 missing from bad_primes), or in the sieve
+_CUBIC_TWO_BLOCKS = ["spl", "--poly=-2,0,0,1", "--galois-order", "6", "--hi", "100000"]
+SCAN_ORACLE_CASES = {
+    "abelian-spl": (["spl", "--modulus", "8", "--residues", "1,7", "--hi", "3000"], None),
+    "abelian-frob": (["frob", "--modulus", "8", "--residues", "1,7", "--hi", "3000"], None),
+    "cubic-spl": (["spl", "--poly=-2,0,0,1", "--galois-order", "6", "--hi", "3000"], None),
+    "cubic-frob": (["frob", "--poly=-2,0,0,1", "--galois-order", "6", "--hi", "3000"], None),
+    "linear-spl": (["spl", "--poly=-3,1", "--galois-order", "1", "--hi", "500"], None),
+    "quintic-two-blocks": (["frob", "--poly=-1,-1,0,0,0,1", "--galois-order", "120", "--hi", "100000"],
+                           None),
+    "progress-every-record": (_CUBIC_TWO_BLOCKS, 1),
+    "progress-at-block-end": (_CUBIC_TWO_BLOCKS, splitting_mod._BLOCK),
+    "progress-after-block": (_CUBIC_TWO_BLOCKS, splitting_mod._BLOCK + 1),
+    "first-prime-fails": (["frob", "--poly=-2,0,0,1", "--galois-order", "3", "--lo", "11", "--hi", "100"],
+                          None),
+    "fails-mid-block": (["spl", "--poly=-90001,0,1", "--galois-order", "2", "--bad-primes", "2",
+                         "--hi", "100000"], 1000),
+    "sieve-refuses": (["spl", "--poly=1,0,1", "--galois-order", "2", "--lo", "1", "--hi", "100"], None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("case", sorted(SCAN_ORACLE_CASES))
+def test_scan_matches_per_record_oracle(capsys, monkeypatch, case, fmt):
+    argv, every = SCAN_ORACLE_CASES[case]
+    if every is not None:
+        monkeypatch.setattr(cli_mod, "_PROGRESS_EVERY", every)
+    argv = [*argv, "--format", fmt]
+    got = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli_mod, "_cmd_scan", scan_per_record)
+    assert got == run_cli(capsys, *argv)
 
 
 class _CountingSink:
@@ -308,12 +347,38 @@ class TestErrorBoundary:
             (("calculus", "ie-check"), "error: ie-check needs --sets\n"),
             (("calculus", "inclusion-exclusion", "--densities", "1:1/0"),
              "error: expected a rational like 3/8, got '1/0'\n"),
+            (("calculus", "pigeonhole", "1/2", "5/2"), "error: expected an integer, got 5/2\n"),
+            (("calculus", "selection-bound", "1/2", "1/2", "1/2", "3/2"),
+             "error: expected an integer, got 3/2\n"),
+            (("calculus", "disjoint-union", "1", "2", "7/2"), "error: expected an integer, got 7/2\n"),
+            (("calculus", "tower-theta", "1/2", "1/3", "2", "3"), "error: expected an integer, got 1/3\n"),
+            (("calculus", "compositum-degree", "2", "6", "3", "3/2"),
+             "error: expected an integer, got 3/2\n"),
+            (("calculus", "lift-density", "1/10", "5/2"), "error: expected an integer, got 5/2\n"),
         ],
         ids=["missing-model-file", "cap-refusal", "missing-values", "missing-densities",
-             "missing-sets", "zero-denominator"],
+             "missing-sets", "zero-denominator", "pigeonhole-fraction", "selection-bound-fraction",
+             "disjoint-union-fraction", "tower-theta-fraction", "compositum-degree-fraction",
+             "lift-density-fraction"],
     )
     def test_input_errors_exit_1(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", message)
+
+    @pytest.mark.parametrize(
+        ("argv", "env", "cutoff"),
+        [(("--cutoff", "0"), None, 0), (("--cutoff", "-5"), None, -5), (("--cutoff", "2"), None, 2),
+         ((), "0", 0)],
+        ids=["cutoff-0", "cutoff-negative", "cutoff-2", "env-cutoff-0"],
+    )
+    def test_verify_cutoff_below_3_exits_1(self, capsys, monkeypatch, argv, env, cutoff):
+        started = []
+        monkeypatch.setattr(cli_mod.acceptance, "_CRITERIA", (lambda **kwargs: started.append(kwargs),))
+        monkeypatch.delenv("CHEBDENS_CUTOFF", raising=False)
+        if env is not None:
+            monkeypatch.setenv("CHEBDENS_CUTOFF", env)
+        message = f"error: cutoff must be at least 3, got {cutoff}\n"
+        assert run_cli(capsys, "verify", *argv) == (1, "", message)
+        assert started == []
 
     @pytest.mark.parametrize(
         "error", [KeyError("missing"), InvariantViolationError("broken")], ids=["KeyError", "invariant"]

@@ -267,7 +267,8 @@ class TestModelAgreement:
             mixed = np.concatenate([np.array([5, 13, 31], dtype=np.int64), big])
             assert [p.dtype for _, p in splitting_mod._blocks(mixed, 3)] == [dtype]
             masks = {d: cycle_type_predicate(X3M2, d).mask(mixed) for d in shapes}
-            records = list(cli_mod._scan_records(X3M2, lo, hi))
+            blocks = cli_mod._scan_blocks(X3M2, lo, hi, splitting_mod.ramified_primes_in(X3M2, lo, hi))
+            records = [{"p": p, **recs[i]} for block, index, recs in blocks for p, i in zip(block, index)]
             results.append((mixed, split_mask(X3M2, mixed), masks, records))
         assert calls == []
         assert min(big.tolist()) <= limit < max(big.tolist())
