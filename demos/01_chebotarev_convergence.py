@@ -8,11 +8,8 @@ density theorem says the set of such primes has density 1/[L:Q], so
 counting split primes below growing cutoffs should approach that value.
 """
 
-from chebdens import (
-    chebotarev_reference,
-    natural_density_estimate,
-    splitting_field_model,
-)
+from chebdens import chebotarev_reference, splitting_field_model
+from chebdens.density import natural_convergence_rows
 
 MODELS = {
     "x^2 + 1 (degree 2)": splitting_field_model((1, 0, 1), 2),
@@ -24,7 +21,8 @@ for name, model in MODELS.items():
     reference = chebotarev_reference(model)
     print(f"\n{name}: reference density = {reference} = {float(reference):.6f}")
     print(f"{'cutoff':>10} {'members':>9} {'primes':>8} {'estimate':>10} {'|gap|':>10}")
-    for cutoff in (10**4, 10**5, 10**6):
-        est = natural_density_estimate(model, cutoff)
-        gap = abs(est.value - float(reference))
-        print(f"{cutoff:>10} {est.members:>9} {est.primes:>8} {est.value:>10.6f} {gap:>10.2e}")
+    # one sieve and one classification serve every cutoff of the table
+    for row in natural_convergence_rows(model, (10**4, 10**5, 10**6), reference=reference):
+        gap = abs(row["estimate"] - row["reference"])
+        print(f"{row['cutoff']:>10} {row['members']:>9} {row['primes']:>8} "
+              f"{row['estimate']:>10.6f} {gap:>10.2e}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance, calculus, density, splitting, weyl
-from .bounds import DEFAULT_MATERIALIZE_LIMIT, csp_bound_pipeline, report_to_dict
+from .bounds import DEFAULT_MATERIALIZE_LIMIT, _fraction_str, csp_bound_pipeline, report_to_dict
 from .errors import ModelFormatError, ResourceLimitError
 from .primes import PrimeRange, sieve_primes
 
@@ -46,9 +46,9 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _emit_json(payload) -> None:
-    # json.dumps takes the C encoder; json.dump to a stream never does.  The
-    # one type a payload holds that JSON lacks is Fraction, written as "n/d".
-    text = json.dumps(payload, sort_keys=True, default=lambda q: f"{q.numerator}/{q.denominator}")
+    # json.dumps takes the C encoder; json.dump to a stream never does.  The one
+    # type a payload holds that JSON lacks is Fraction, written as "n/d" at any length.
+    text = json.dumps(payload, sort_keys=True, default=_fraction_str)
     sys.stdout.write(text + "\n")
 
 

@@ -108,6 +108,19 @@ def member_mask(subject: PrimeSubject, primes: np.ndarray) -> np.ndarray:
     return np.isin(primes, members)
 
 
+def _classify(subject: PrimeSubject, cutoffs: list[int]):
+    """Primes below the largest cutoff, their member mask, and per cutoff the
+    numbers of primes and of members below it.
+
+    One sieve and one ``member_mask`` serve every cutoff: the primes below a
+    cutoff are a prefix of those below the largest one.
+    """
+    primes = primes_upto(max(cutoffs))
+    mask = member_mask(subject, primes)
+    ends = np.searchsorted(primes, cutoffs).tolist()
+    return primes, mask, [(end, int(np.count_nonzero(mask[:end]))) for end in ends]
+
+
 def _validate_s(s) -> None:
     if s <= 1:
         raise ValueError(f"s must exceed 1, got {s}")
@@ -122,8 +135,7 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     _validate_s(s)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    primes = primes_upto(int(cutoff))
-    mask = member_mask(subject, primes)
+    primes, mask, _ = _classify(subject, [int(cutoff)])
     members = primes[mask]
     exact = isinstance(s, Integral) or (isinstance(s, Fraction) and s.denominator == 1)
     if exact:
@@ -134,22 +146,6 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     else:
         value = float(np.sum(members.astype(np.float64) ** (-float(s)))) if members.size else 0.0
     return PartialZetaValue(s, int(cutoff), value)
-
-
-def truncated_zeta_sums(subject: PrimeSubject, s_values: Sequence[float], cutoff: int):
-    """(xi_A(s), xi_P(s)) float pairs for each s, sharing one sieve pass."""
-    primes = primes_upto(int(cutoff))
-    mask = member_mask(subject, primes)
-    fp = primes.astype(np.float64)
-    fm = fp[mask]
-    out = []
-    for s in s_values:
-        _validate_s(s)
-        s = float(s)
-        xi_a = float(np.sum(fm**-s)) if fm.size else 0.0
-        xi_p = float(np.sum(fp**-s)) if fp.size else 0.0
-        out.append((xi_a, xi_p))
-    return out
 
 
 def riemann_zeta(s: float, terms: int = 64) -> float:
@@ -181,13 +177,14 @@ def _ratio_estimate(
 ) -> DensityEstimate:
     """Ratio curve and coverage over the grid; ``pick`` reads the raw value."""
     grid = _normalize_grid(s_grid)
-    sums = truncated_zeta_sums(subject, grid, cutoff)
+    primes, mask, _ = _classify(subject, [int(cutoff)])
+    fp = primes.astype(np.float64)
+    fm = fp[mask]
     ratios = []
     coverage = []
-    for s, (xi_a, xi_p) in zip(grid, sums):
-        denom = math.log(1.0 / (s - 1.0))
-        ratios.append(xi_a / denom)
-        coverage.append(xi_p / math.log(riemann_zeta(s)))
+    for s in grid:
+        ratios.append(float(np.sum(fm**-s)) / math.log(1.0 / (s - 1.0)))
+        coverage.append(float(np.sum(fp**-s)) / math.log(riemann_zeta(s)))
     raw = pick(tuple(ratios))
     return DensityEstimate(
         kind=kind,
@@ -234,21 +231,9 @@ def upper_density_estimate(
 
 def natural_density_estimate(subject: PrimeSubject, cutoff: int) -> DensityEstimate:
     """#(members below cutoff) / #(primes below cutoff)."""
-    primes = primes_upto(int(cutoff))
-    if primes.size == 0:
-        raise ValueError(f"no primes below {cutoff}; the estimate is undefined")
-    mask = member_mask(subject, primes)
-    members = int(np.count_nonzero(mask))
-    total = int(primes.size)
-    value = members / total
-    return DensityEstimate(
-        kind="natural",
-        value=value,
-        cutoff=int(cutoff),
-        raw_value=value,
-        members=members,
-        primes=total,
-    )
+    row = natural_convergence_rows(subject, [cutoff])[0]
+    return DensityEstimate("natural", row["estimate"], row["cutoff"], raw_value=row["estimate"],
+                           members=row["members"], primes=row["primes"])
 
 
 def chebotarev_reference(model: GaloisExtensionModel) -> Fraction:
@@ -289,17 +274,21 @@ def dirichlet_convergence_rows(
     reference: Fraction | None = None,
 ) -> list[dict]:
     """One row per (cutoff, s): columns cutoff, s, xi, ratio [, reference]."""
-    rows = []
     grid = _normalize_grid(s_grid)
-    for cutoff in cutoffs:
-        sums = truncated_zeta_sums(subject, grid, cutoff)
-        for s, (xi_a, _) in zip(grid, sums):
-            row = {
-                "cutoff": int(cutoff),
-                "s": s,
-                "xi": xi_a,
-                "ratio": xi_a / math.log(1.0 / (s - 1.0)),
-            }
+    cutoffs = [int(cutoff) for cutoff in cutoffs]
+    if not cutoffs:
+        return []
+    primes, mask, counts = _classify(subject, cutoffs)
+    fm = primes[mask].astype(np.float64)
+    xi = {}  # s -> the sum below each cutoff; a prefix adds in the order a fresh array would
+    for s in grid:
+        terms = fm**-s
+        xi[s] = [float(np.sum(terms[:members])) for _, members in counts]
+    rows = []
+    for j, cutoff in enumerate(cutoffs):
+        for s in grid:
+            value = xi[s][j]
+            row = {"cutoff": cutoff, "s": s, "xi": value, "ratio": value / math.log(1.0 / (s - 1.0))}
             if reference is not None:
                 row["reference"] = float(reference)
             rows.append(row)
@@ -312,15 +301,16 @@ def natural_convergence_rows(
     reference: Fraction | None = None,
 ) -> list[dict]:
     """One row per cutoff with member/prime counts and the natural estimate."""
-    rows = []
+    cutoffs = list(cutoffs)
     for cutoff in cutoffs:
-        est = natural_density_estimate(subject, cutoff)
-        row = {
-            "cutoff": est.cutoff,
-            "members": est.members,
-            "primes": est.primes,
-            "estimate": est.value,
-        }
+        if int(cutoff) < 3:
+            raise ValueError(f"no primes below {cutoff}; the estimate is undefined")
+    if not cutoffs:
+        return []
+    rows = []
+    counts = _classify(subject, [int(cutoff) for cutoff in cutoffs])[2]
+    for cutoff, (total, members) in zip(cutoffs, counts):
+        row = {"cutoff": int(cutoff), "members": members, "primes": total, "estimate": members / total}
         if reference is not None:
             row["reference"] = float(reference)
         rows.append(row)

@@ -1,7 +1,10 @@
 """Acceptance gate: each criterion runs at its stated tolerance and prints a
 pass/fail line.  The same checks back the ``chebdens verify`` command."""
 
+import chebdens.density as density_mod
+import chebdens.splitting as splitting_mod
 from chebdens import acceptance
+from oracles import criterion_5_detail
 
 CUTOFF = 10**7
 SEED = 0
@@ -56,3 +59,20 @@ def test_run_acceptance_collects_everything():
     assert len(results) == 8
     assert len(lines) == 8
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+
+
+def test_criterion_5_reads_the_masks_of_criterion_2(monkeypatch):
+    want = criterion_5_detail(10**5)
+    assert acceptance.criterion_2(cutoff=10**5).passed
+    calls = []
+
+    def no_split_mask(model, primes):
+        calls.append(model)
+        raise AssertionError("criterion 5 computed a split mask")
+
+    for module in (splitting_mod, density_mod):
+        monkeypatch.setattr(module, "split_mask", no_split_mask)
+    result = acceptance.criterion_5(cutoff=10**5)
+    assert calls == []
+    assert result.passed
+    assert result.detail == want

@@ -10,7 +10,7 @@ import pytest
 
 import chebdens.cli as cli_mod
 import chebdens.splitting as splitting_mod
-from chebdens import InvariantViolationError, csp_bound_pipeline
+from chebdens import InvariantViolationError, calculus, csp_bound_pipeline
 from chebdens.cli import main
 from oracles import scan_per_record
 
@@ -26,6 +26,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _read_fraction(text: str) -> Fraction:
+    """A "p/q" string of any length, read with the int-to-str limit lifted."""
+    num, den = text.split("/")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(int(num), int(den))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestSpl:
@@ -272,6 +283,18 @@ class TestCalculus:
         code, out, _ = run_cli(capsys, "calculus", "compositum-degree", "2", "6", "3", "3")
         assert code == 0 and json.loads(out)["result"] == 432
 
+    def test_fractions_beyond_int_str_limit(self, capsys):
+        # (1 - 1/2)^20000 puts 6021 digits in each denominator
+        spec = calculus.TowerSpec(m=1, t=2, r=20000)
+        code, out, _ = run_cli(capsys, "calculus", "tower-theta", "1/2", "1", "2", "20000")
+        assert code == 0
+        result = json.loads(out)["result"]
+        want = calculus.tower_theta(Fraction(1, 2), spec)
+        assert (_read_fraction(result["theta"]), _read_fraction(result["bound"])) == (want.theta, want.bound)
+        code, out, _ = run_cli(capsys, "calculus", "disjoint-union", "1", "2", "20000")
+        assert code == 0
+        assert _read_fraction(json.loads(out)["result"]) == calculus.disjoint_union_density(spec)
+
     def test_containment_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "calculus", "intersection-bound", "3/4", "1/4", "1/2")
         assert code == 1
@@ -321,14 +344,7 @@ class TestBounds:
         # theta's numerator for E6 at omega = 1 has ~169k digits
         code, out, _ = run_cli(capsys, "bounds", "--type", "E6", "--m", "1", "--omega", "1")
         assert code == 0
-        num, den = json.loads(out)["theta"].split("/")
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            theta = Fraction(int(num), int(den))
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert theta == csp_bound_pipeline("E6", 1, 1).theta
+        assert _read_fraction(json.loads(out)["theta"]) == csp_bound_pipeline("E6", 1, 1).theta
 
 
 class TestErrorBoundary:

@@ -6,11 +6,13 @@ import mpmath
 import numpy as np
 import pytest
 
+import chebdens.density as density_mod
 from chebdens import (
     DEFAULT_S_GRID,
     InconsistencyError,
     abelian_model,
     chebotarev_reference,
+    cycle_type_predicate,
     dirichlet_density_estimate,
     lift_density,
     member_mask,
@@ -25,7 +27,14 @@ from chebdens.density import (
     riemann_zeta,
     write_convergence_csv,
 )
-from oracles import slow_fraction_zeta
+from oracles import (
+    odd_bytearray_sieve,
+    per_cutoff_dirichlet_rows,
+    per_cutoff_natural_rows,
+    per_cutoff_partial_zeta,
+    per_cutoff_ratio_curve,
+    slow_fraction_zeta,
+)
 
 MOD4 = abelian_model(4, [1])
 ALL_PRIMES = abelian_model(1, [1])
@@ -261,3 +270,122 @@ class TestConvergenceTables:
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "cutoff,s,xi,ratio"
         assert len(lines) == 3
+
+
+# Subjects of every kind member_mask accepts, for the differential tests
+# against the one-sieve-per-cutoff oracle.
+_SUBJECTS = {
+    "abelian": MOD4,
+    "cubic": X3M2,
+    "callable": lambda p: p % 3 == 1,
+    "set": [p for p in odd_bytearray_sieve(40_000) if p % 4 == 3],
+    "cycle-type": cycle_type_predicate(X3M2, [1, 2]),
+}
+_CUTOFF_LISTS = {
+    "ascending": [10**3, 10**4, 10**5],
+    "unsorted-duplicates": [10**5, 10**3, 10**5, 17, 3],
+    "one": [50_000],
+}
+
+
+class TestOnePassTables:
+    """Every table sieves and classifies once, at its largest cutoff, and
+    matches a fresh sieve and classification at each cutoff exactly."""
+
+    @pytest.mark.parametrize("cutoffs", _CUTOFF_LISTS.values(), ids=_CUTOFF_LISTS)
+    @pytest.mark.parametrize("subject", _SUBJECTS.values(), ids=_SUBJECTS)
+    def test_rows_equal_per_cutoff_oracle(self, subject, cutoffs):
+        ref = Fraction(1, 3)
+        assert natural_convergence_rows(subject, cutoffs, ref) == \
+            per_cutoff_natural_rows(subject, cutoffs, ref)
+        grid = (1.01, 1.5, 1.1, 1.5)
+        assert dirichlet_convergence_rows(subject, cutoffs, grid, ref) == \
+            per_cutoff_dirichlet_rows(subject, cutoffs, grid, ref)
+
+    @pytest.mark.parametrize("subject", _SUBJECTS.values(), ids=_SUBJECTS)
+    def test_estimates_equal_per_cutoff_oracle(self, subject):
+        cutoff = 30_000
+        (row,) = per_cutoff_natural_rows(subject, [cutoff])
+        est = natural_density_estimate(subject, cutoff)
+        assert (est.cutoff, est.members, est.primes, est.value, est.raw_value) == \
+            (row["cutoff"], row["members"], row["primes"], row["estimate"], row["estimate"])
+        ratios, coverage = per_cutoff_ratio_curve(subject, DEFAULT_S_GRID, cutoff)
+        for est in (dirichlet_density_estimate(subject, cutoff=cutoff),
+                    upper_density_estimate(subject, cutoff=cutoff)):
+            assert (est.ratios, est.coverage) == (ratios, coverage)
+        for s in (2, Fraction(3), 1.5):
+            assert partial_zeta(subject, s, cutoff).value == per_cutoff_partial_zeta(subject, s, cutoff)
+
+    def test_cubic_table_to_ten_to_the_six(self):
+        cutoffs = [10**6, 10**4, 10**5, 10**6]
+        assert natural_convergence_rows(X3M2, cutoffs) == per_cutoff_natural_rows(X3M2, cutoffs)
+        assert dirichlet_convergence_rows(X3M2, cutoffs) == \
+            per_cutoff_dirichlet_rows(X3M2, cutoffs, DEFAULT_S_GRID)
+
+    def test_no_cutoffs_give_no_rows(self):
+        assert natural_convergence_rows(MOD4, []) == []
+        assert dirichlet_convergence_rows(MOD4, []) == []
+
+    @pytest.mark.parametrize("cutoffs", [[2, 10**4], [10**4, 100, 2], [10**3, 0]])
+    def test_cutoff_without_primes_raises_like_the_oracle(self, cutoffs):
+        with pytest.raises(ValueError) as want:
+            per_cutoff_natural_rows(MOD4, cutoffs)
+        with pytest.raises(ValueError) as got:
+            natural_convergence_rows(MOD4, cutoffs)
+        assert str(got.value) == str(want.value)
+        assert dirichlet_convergence_rows(MOD4, cutoffs) == \
+            per_cutoff_dirichlet_rows(MOD4, cutoffs, DEFAULT_S_GRID)
+
+    @pytest.mark.parametrize("cutoffs", [[10**4, 10**5], [10**5, 10**4, 10**5]])
+    def test_incomplete_bad_primes_raise_like_the_oracle(self, cutoffs):
+        # 90001 is prime and divides the discriminant of x^2 - 90001
+        model = splitting_field_model((-90001, 0, 1), 2, bad_primes=[2])
+        for table, oracle in ((natural_convergence_rows, per_cutoff_natural_rows),
+                              (dirichlet_convergence_rows, per_cutoff_dirichlet_rows)):
+            args = () if table is natural_convergence_rows else (DEFAULT_S_GRID,)
+            with pytest.raises(InconsistencyError) as want:
+                oracle(model, cutoffs, *args)
+            with pytest.raises(InconsistencyError) as got:
+                table(model, cutoffs, *args)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("table", [natural_convergence_rows, dirichlet_convergence_rows])
+    def test_one_sieve_and_one_classification(self, monkeypatch, table):
+        calls = {"primes_upto": [], "member_mask": 0}
+        primes_upto, member_mask_ = density_mod.primes_upto, density_mod.member_mask
+
+        def spy_primes(hi):
+            calls["primes_upto"].append(hi)
+            return primes_upto(hi)
+
+        def spy_mask(subject, primes):
+            calls["member_mask"] += 1
+            return member_mask_(subject, primes)
+
+        monkeypatch.setattr(density_mod, "primes_upto", spy_primes)
+        monkeypatch.setattr(density_mod, "member_mask", spy_mask)
+        rows = table(X3M2, [10**3, 10**5, 10**4, 10**2])
+        assert calls == {"primes_upto": [10**5], "member_mask": 1}
+        assert {row["cutoff"] for row in rows} == {10**2, 10**3, 10**4, 10**5}
+
+    def test_boolean_mask_of_the_largest_cutoff_serves_every_cutoff(self, primes_1e4):
+        # one classification at the largest cutoff; a per-cutoff pass rejected
+        # this mask at 10^3 for its shape
+        mask = member_mask(MOD4, primes_1e4)
+        cutoffs = [10**3, 10**4]
+        assert natural_convergence_rows(mask, cutoffs) == natural_convergence_rows(MOD4, cutoffs)
+        assert dirichlet_convergence_rows(mask, cutoffs) == dirichlet_convergence_rows(MOD4, cutoffs)
+        with pytest.raises(ValueError, match="shape"):
+            per_cutoff_natural_rows(mask, cutoffs)
+        with pytest.raises(ValueError, match="shape"):
+            natural_convergence_rows(mask, [10**3, 10**5])
+
+    def test_callable_subject_is_called_once_per_prime(self, primes_1e4):
+        seen = []
+
+        def subject(p):
+            seen.append(p)
+            return p % 4 == 1
+
+        natural_convergence_rows(subject, [10**2, 10**3, 10**4])
+        assert seen == primes_1e4.tolist()
