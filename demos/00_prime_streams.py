@@ -20,11 +20,11 @@ print("primes in [90, 130): ", sieve_primes(PrimeRange(90, 130)).tolist())
 for hi in (10**4, 10**5, 10**6, 10**7):
     print(f"pi({hi:>9,}) = {prime_count(PrimeRange(2, hi)):,}")
 
-# segmentation transparency: tiny segments, same output
+# segmentation transparency: adjacent windows, same output
 whole = sieve_primes(PrimeRange(1000, 5000))
 pieces = np.concatenate([
-    sieve_primes(PrimeRange(1000, 2500, segment_size=128)),
-    sieve_primes(PrimeRange(2500, 5000, segment_size=128)),
+    sieve_primes(PrimeRange(1000, 2500)),
+    sieve_primes(PrimeRange(2500, 5000)),
 ])
 print("segment-transparent: ", (whole == pieces).all())
 

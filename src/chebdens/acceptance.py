@@ -39,10 +39,35 @@ def _check(condition: bool, message: str, failures: list[str]) -> None:
         failures.append(message)
 
 
-def _result(index: int, title: str, failures: list[str], detail: str,
-            elapsed: float) -> CriterionResult:
-    """Passed iff nothing failed; a failed result reports its failures as the detail."""
-    return CriterionResult(index, title, not failures, "; ".join(failures) or detail, elapsed)
+#: The criteria in index order, each called as ``criterion(cutoff=..., seed=...)``.
+_CRITERIA: list[Callable[..., CriterionResult]] = []
+
+
+def _criterion(index: int, title: str, limit: float = math.inf):
+    """Register a criterion body under its index, title and runtime limit in seconds.
+
+    The body appends failure messages to ``failures`` and returns its detail.  The
+    criterion times it, fails past the limit or on a raise, and passes iff nothing
+    failed; a failed result reports its failures as the detail.
+    """
+    def register(body: Callable[[int, int, list[str]], str]) -> Callable[..., CriterionResult]:
+        def criterion(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+            start = time.perf_counter()
+            failures: list[str] = []
+            try:
+                detail = body(cutoff, seed, failures)
+            except Exception as exc:  # a crash is a failure, not an abort
+                detail = f"raised {type(exc).__name__}: {exc}"
+                failures.append(detail)
+            elapsed = time.perf_counter() - start
+            _check(elapsed < limit, f"runtime {elapsed:.1f}s exceeded {limit}s", failures)
+            return CriterionResult(index, title, not failures, "; ".join(failures) or detail, elapsed)
+
+        criterion.__name__ = criterion.__qualname__ = body.__name__
+        criterion.__doc__ = body.__doc__
+        _CRITERIA.append(criterion)
+        return criterion
+    return register
 
 
 @lru_cache(maxsize=1)
@@ -55,10 +80,9 @@ def _tower_masks(cutoff: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return primes, [splitting.split_mask(model, primes) for model in models]
 
 
-def criterion_1(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(1, "Chebotarev convergence at the default cutoff", limit=120)
+def criterion_1(cutoff: int, seed: int, failures: list[str]) -> str:
     """Natural densities of the complete-splitting sets match 1/2 and 1/6."""
-    start = time.perf_counter()
-    failures: list[str] = []
     quad = splitting.splitting_field_model((1, 0, 1), 2)  # x^2 + 1
     cubic = splitting.splitting_field_model((-2, 0, 0, 1), 6)  # x^3 - 2
     est_q = density.natural_density_estimate(quad, cutoff)
@@ -67,19 +91,15 @@ def criterion_1(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
     gap_c = abs(est_c.value - 1 / 6)
     _check(gap_q < 0.005, f"x^2+1 gap {gap_q:.6f} >= 0.005", failures)
     _check(gap_c < 0.01, f"x^3-2 gap {gap_c:.6f} >= 0.01", failures)
-    elapsed = time.perf_counter() - start
-    _check(elapsed < 120, f"runtime {elapsed:.1f}s exceeded 120s", failures)
-    detail = (
+    return (
         f"x^2+1: {est_q.value:.6f} (|err| {gap_q:.2e}); "
         f"x^3-2: {est_c.value:.6f} (|err| {gap_c:.2e})"
     )
-    return _result(1, "Chebotarev convergence at the default cutoff", failures, detail, elapsed)
 
 
-def criterion_2(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(2, "union-density formula for a disjoint quadratic tower")
+def criterion_2(cutoff: int, seed: int, failures: list[str]) -> str:
     """Union of three independent quadratic splitting sets has density 7/8."""
-    start = time.perf_counter()
-    failures: list[str] = []
     primes, (_, *quadratics) = _tower_masks(cutoff)
     union = np.logical_or.reduce(quadratics)
     est = int(np.count_nonzero(union)) / int(primes.size)
@@ -87,16 +107,12 @@ def criterion_2(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
     _check(gap < 0.01, f"union gap {gap:.6f} >= 0.01", failures)
     exact = calculus.disjoint_union_density(calculus.TowerSpec(m=1, t=2, r=3))
     _check(exact == Fraction(7, 8), f"exact union density {exact} != 7/8", failures)
-    elapsed = time.perf_counter() - start
-    detail = f"empirical {est:.6f} vs 7/8 (|err| {gap:.2e}); exact side = {exact}"
-    return _result(2, "union-density formula for a disjoint quadratic tower",
-                   failures, detail, elapsed)
+    return f"empirical {est:.6f} vs 7/8 (|err| {gap:.2e}); exact side = {exact}"
 
 
-def criterion_3(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(3, "inclusion-exclusion identity, exact arithmetic")
+def criterion_3(cutoff: int, seed: int, failures: list[str]) -> str:
     """Truncated inclusion-exclusion identity is exact on randomized families."""
-    start = time.perf_counter()
-    failures: list[str] = []
     rng = random.Random(seed)
     pool = [int(p) for p in primes_upto(10**4).tolist()]
     for trial in range(100):
@@ -107,19 +123,16 @@ def criterion_3(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
         if not (equal and residual == 0):
             failures.append(f"trial {trial}: residual {residual} != 0")
             break
-    elapsed = time.perf_counter() - start
-    detail = "100 families (r <= 5, primes < 10^4, s in {2,3}): residual exactly 0"
-    return _result(3, "inclusion-exclusion identity, exact arithmetic", failures, detail, elapsed)
+    return "100 families (r <= 5, primes < 10^4, s in {2,3}): residual exactly 0"
 
 
 def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction, den: int = 48) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randint(0, den), den)
 
 
-def criterion_4(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(4, "consistency of the exact density bounds")
+def criterion_4(cutoff: int, seed: int, failures: list[str]) -> str:
     """Union bound, intersection bound, and selection bound agree exactly."""
-    start = time.perf_counter()
-    failures: list[str] = []
     rng = random.Random(seed + 1)
     for trial in range(1000):
         # realizable pair densities: Frechet bounds keep the table consistent
@@ -145,15 +158,12 @@ def criterion_4(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
         if sel.theta != theta or sel.bound != max(theta, Fraction(0)) / r or sel.vacuous != (theta <= 0):
             failures.append(f"trial {trial}: selection bound mismatch")
             break
-    elapsed = time.perf_counter() - start
-    detail = "1000 exact-density tuples, all three bounds exact"
-    return _result(4, "consistency of the exact density bounds", failures, detail, elapsed)
+    return "1000 exact-density tuples, all three bounds exact"
 
 
-def criterion_5(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(5, "selection margin bridged from empirical densities")
+def criterion_5(cutoff: int, seed: int, failures: list[str]) -> str:
     """Tower selection margin: empirical inputs reproduce the exact theta and bound."""
-    start = time.perf_counter()
-    failures: list[str] = []
     spec = calculus.TowerSpec(m=1, t=2, r=3)
     primes, (trivial, *quadratics) = _tower_masks(cutoff)
     omega_emp = Fraction(int(np.count_nonzero(trivial)), int(primes.size))
@@ -167,13 +177,10 @@ def criterion_5(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
     _check(best >= bound - 0.01,
            f"no tower member reaches the guaranteed bound: {best:.4f} < {bound:.4f} - 0.01",
            failures)
-    elapsed = time.perf_counter() - start
-    detail = (
+    return (
         f"theta empirical = exact = {theta_exact}; best member density {best:.6f} "
         f">= theta/r - 0.01 = {bound - 0.01:.6f}"
     )
-    return _result(5, "selection margin bridged from empirical densities",
-                   failures, detail, elapsed)
 
 
 _ORACLE_TYPES = (
@@ -183,10 +190,9 @@ _ORACLE_TYPES = (
 )
 
 
-def criterion_6(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(6, "Weyl table vs enumeration oracle", limit=60)
+def criterion_6(cutoff: int, seed: int, failures: list[str]) -> str:
     """Brute-force enumeration reproduces every tabulated (w, c) in reach."""
-    start = time.perf_counter()
-    failures: list[str] = []
     for label in _ORACLE_TYPES:
         constants = weyl.constants_for_group(label)
         order, classes = weyl.enumerated_constants(label)
@@ -194,16 +200,12 @@ def criterion_6(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
             failures.append(
                 f"{label}: enumerated ({order}, {classes}) != table ({constants.w}, {constants.c})"
             )
-    elapsed = time.perf_counter() - start
-    _check(elapsed < 60, f"runtime {elapsed:.1f}s exceeded 60s", failures)
-    detail = f"{len(_ORACLE_TYPES)} types enumerated, all (w, c) exact"
-    return _result(6, "Weyl table vs enumeration oracle", failures, detail, elapsed)
+    return f"{len(_ORACLE_TYPES)} types enumerated, all (w, c) exact"
 
 
-def criterion_7(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(7, "bound pipeline constants and super-decreasing law")
+def criterion_7(cutoff: int, seed: int, failures: list[str]) -> str:
     """Constant pipeline hand-checks and the super-decreasing divisibility law."""
-    start = time.perf_counter()
-    failures: list[str] = []
     r = minimal_tower_count(1, 2, Fraction(1, 2))
     _check(r == 3, f"minimal r = {r} != 3", failures)
     # independent minimality check with literal rationals
@@ -224,16 +226,12 @@ def criterion_7(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
             for d2 in deltas:
                 if d1 <= d2 and values[d1] % values[d2] != 0:
                     failures.append(f"divisibility fails at delta1={d1}, delta2={d2}, d={d}")
-    elapsed = time.perf_counter() - start
-    detail = "r = 3 certified minimal; nu(3/10) = 24; A1 pipeline = (3, 3/8, 1/12, 13!); 20x5 grid divides"
-    return _result(7, "bound pipeline constants and super-decreasing law",
-                   failures, detail, elapsed)
+    return "r = 3 certified minimal; nu(3/10) = 24; A1 pipeline = (3, 3/8, 1/12, 13!); 20x5 grid divides"
 
 
-def criterion_8(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> CriterionResult:
+@_criterion(8, "density lifting law")
+def criterion_8(cutoff: int, seed: int, failures: list[str]) -> str:
     """Density lifting is exact multiplication, erroring exactly past 1."""
-    start = time.perf_counter()
-    failures: list[str] = []
     for den in range(1, 9):
         for num in range(0, den + 1):
             delta = Fraction(num, den)
@@ -249,15 +247,7 @@ def criterion_8(cutoff: int = density.DEFAULT_CUTOFF, seed: int = 0) -> Criterio
                         pass
                     else:
                         failures.append(f"lift({delta}, {degree}) should have raised")
-    elapsed = time.perf_counter() - start
-    detail = "exact on the full grid; inconsistency raised exactly when delta*degree > 1"
-    return _result(8, "density lifting law", failures, detail, elapsed)
-
-
-_CRITERIA: tuple[Callable[..., CriterionResult], ...] = (
-    criterion_1, criterion_2, criterion_3, criterion_4,
-    criterion_5, criterion_6, criterion_7, criterion_8,
-)
+    return "exact on the full grid; inconsistency raised exactly when delta*degree > 1"
 
 
 def run_acceptance(
@@ -274,11 +264,7 @@ def run_acceptance(
         raise ValueError(f"cutoff must be at least 3, got {cutoff}")
     results = []
     for func in _CRITERIA:
-        try:
-            result = func(cutoff=cutoff, seed=seed)
-        except Exception as exc:  # a crash is a failure, not an abort
-            result = CriterionResult(len(results) + 1, func.__doc__ or func.__name__,
-                                     False, f"raised {type(exc).__name__}: {exc}", 0.0)
+        result = func(cutoff=cutoff, seed=seed)
         results.append(result)
         if out is not None:
             status = "PASS" if result.passed else "FAIL"

@@ -139,7 +139,6 @@ class BoundReport:
     n_exact: int | None
     idele_index: int
     valuation_budget: int
-    omega_provenance: str = "user"
 
 
 def _condition(m: int, t: int, r: int, omega: Fraction) -> bool:
@@ -280,7 +279,6 @@ def csp_bound_pipeline(
     rho: int = 1,
     materialize_limit: int = DEFAULT_MATERIALIZE_LIMIT,
     r_cap: int = DEFAULT_R_CAP,
-    omega_provenance: str = "user",
 ) -> BoundReport:
     """Run the whole constant pipeline for one group type and base configuration.
 
@@ -327,7 +325,6 @@ def csp_bound_pipeline(
         n_exact=n_exact,
         idele_index=idele_index_bound(delta),
         valuation_budget=constants.c * r,
-        omega_provenance=omega_provenance,
     )
 
 
@@ -360,5 +357,5 @@ def report_to_dict(report: BoundReport) -> dict:
         "n_exact": decimal_str(report.n_exact) if report.n_exact is not None else None,
         "idele_index": report.idele_index,
         "valuation_budget": report.valuation_budget,
-        "omega_provenance": report.omega_provenance,
+        "omega_provenance": "user",  # omega is always the caller's input
     }

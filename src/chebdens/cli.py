@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance, calculus, density, splitting, weyl
-from .bounds import DEFAULT_MATERIALIZE_LIMIT, _fraction_str, csp_bound_pipeline, report_to_dict
+from .bounds import (DEFAULT_MATERIALIZE_LIMIT, _STR_BITS, _fraction_str, csp_bound_pipeline,
+                     decimal_str, report_to_dict)
 from .errors import ModelFormatError, ResourceLimitError
 from .primes import PrimeRange, sieve_primes
 
@@ -45,10 +46,26 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _swap_long_ints(value, longs: list[int]):
+    """``value`` with each int too long for str(), also inside dicts, lists and tuples,
+    moved to the end of ``longs`` and replaced by NUL and its index there."""
+    if isinstance(value, dict):
+        return {key: _swap_long_ints(item, longs) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_swap_long_ints(item, longs) for item in value]
+    if isinstance(value, int) and value.bit_length() > _STR_BITS:
+        longs.append(value)
+        return f"\0{len(longs) - 1}"
+    return value
+
+
 def _emit_json(payload) -> None:
-    # json.dumps takes the C encoder; json.dump to a stream never does.  The one
-    # type a payload holds that JSON lacks is Fraction, written as "n/d" at any length.
-    text = json.dumps(payload, sort_keys=True, default=_fraction_str)
+    # json.dumps takes the C encoder; json.dump to a stream never does.  A Fraction is written
+    # as "n/d" at any length, and an int too long for str() as its placeholder's digits.
+    longs: list[int] = []
+    text = json.dumps(_swap_long_ints(payload, longs), sort_keys=True, default=_fraction_str)
+    for k, value in enumerate(longs):
+        text = text.replace(f'"\\u0000{k}"', decimal_str(value))
     sys.stdout.write(text + "\n")
 
 

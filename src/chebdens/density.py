@@ -121,6 +121,19 @@ def _classify(subject: PrimeSubject, cutoffs: list[int]):
     return primes, mask, [(end, int(np.count_nonzero(mask[:end]))) for end in ends]
 
 
+def _xi_sums(fp: np.ndarray, ends: list, grid) -> list[list[float]]:
+    """Per s in ``grid``, the sums of p^(-s) over each prefix ``fp[:end]`` of float64 primes.
+
+    ``np.sum`` adds a prefix, which is contiguous, in the order a fresh array would.
+    Callers convert to float64, so no integer copy of the primes outlives the call.
+    """
+    sums = []
+    for s in grid:
+        terms = fp**-s
+        sums.append([float(np.sum(terms[:end])) for end in ends])
+    return sums
+
+
 def _validate_s(s) -> None:
     if s <= 1:
         raise ValueError(f"s must exceed 1, got {s}")
@@ -137,22 +150,18 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
         raise ValueError("cutoff must be at least 2")
     primes, mask, _ = _classify(subject, [int(cutoff)])
     members = primes[mask]
-    exact = isinstance(s, Integral) or (isinstance(s, Fraction) and s.denominator == 1)
-    if exact:
-        e = int(s)
-        value: float | Fraction = _fraction_sum(
-            [Fraction(1, int(p) ** e) for p in members.tolist()]
-        )
+    if isinstance(s, Integral) or (isinstance(s, Fraction) and s.denominator == 1):
+        value: float | Fraction = _fraction_sum([Fraction(1, p ** int(s)) for p in members.tolist()])
     else:
-        value = float(np.sum(members.astype(np.float64) ** (-float(s)))) if members.size else 0.0
+        value = _xi_sums(members.astype(np.float64), [None], [float(s)])[0][0]
     return PartialZetaValue(s, int(cutoff), value)
 
 
-def riemann_zeta(s: float, terms: int = 64) -> float:
-    """zeta(s) for real s > 1 by Euler-Maclaurin summation."""
+def riemann_zeta(s: float) -> float:
+    """zeta(s) for real s > 1 by Euler-Maclaurin summation from the 64th term."""
     _validate_s(s)
     s = float(s)
-    n = terms
+    n = 64
     total = sum(k**-s for k in range(1, n))
     total += n ** (1 - s) / (s - 1) + 0.5 * n**-s
     total += s * n ** (-s - 1) / 12 - s * (s + 1) * (s + 2) * n ** (-s - 3) / 720
@@ -169,30 +178,22 @@ def _normalize_grid(s_grid: Sequence[float]) -> tuple[float, ...]:
 
 
 def _ratio_estimate(
-    kind: str,
-    subject: PrimeSubject,
-    s_grid: Sequence[float],
-    cutoff: int,
-    pick: Callable[[tuple[float, ...]], float],
+    kind: str, subject: PrimeSubject, s_grid: Sequence[float], cutoff: int
 ) -> DensityEstimate:
-    """Ratio curve and coverage over the grid; ``pick`` reads the raw value."""
+    """Ratio curve (the one-cutoff Dirichlet table) and coverage over the grid; the raw value
+    is the ratio at the smallest s, or for the upper kind the largest over the grid's tail half."""
     grid = _normalize_grid(s_grid)
-    primes, mask, _ = _classify(subject, [int(cutoff)])
-    fp = primes.astype(np.float64)
-    fm = fp[mask]
-    ratios = []
-    coverage = []
-    for s in grid:
-        ratios.append(float(np.sum(fm**-s)) / math.log(1.0 / (s - 1.0)))
-        coverage.append(float(np.sum(fp**-s)) / math.log(riemann_zeta(s)))
-    raw = pick(tuple(ratios))
+    ratios = tuple(row["ratio"] for row in dirichlet_convergence_rows(subject, [cutoff], grid))
+    every = _xi_sums(primes_upto(int(cutoff)).astype(np.float64), [None], grid)
+    coverage = tuple(xi / math.log(riemann_zeta(s)) for s, [xi] in zip(grid, every))
+    raw = max(ratios[-((len(ratios) + 1) // 2) :]) if kind == "upper_dirichlet" else ratios[-1]
     return DensityEstimate(
         kind=kind,
         value=min(max(raw, 0.0), 1.0),
         cutoff=int(cutoff),
         s_grid=grid,
-        ratios=tuple(ratios),
-        coverage=tuple(coverage),
+        ratios=ratios,
+        coverage=coverage,
         raw_value=raw,
     )
 
@@ -209,7 +210,7 @@ def dirichlet_density_estimate(
     (see the module docstring), so treat the value as a lower-biased reading
     and prefer natural density for tight checks.
     """
-    return _ratio_estimate("dirichlet", subject, s_grid, cutoff, lambda ratios: ratios[-1])
+    return _ratio_estimate("dirichlet", subject, s_grid, cutoff)
 
 
 def upper_density_estimate(
@@ -223,10 +224,7 @@ def upper_density_estimate(
     surrogate agrees with the Dirichlet estimate whenever the ratio curve is
     flat over the tail (their difference is bounded by the tail spread).
     """
-    return _ratio_estimate(
-        "upper_dirichlet", subject, s_grid, cutoff,
-        lambda ratios: max(ratios[-((len(ratios) + 1) // 2) :]),
-    )
+    return _ratio_estimate("upper_dirichlet", subject, s_grid, cutoff)
 
 
 def natural_density_estimate(subject: PrimeSubject, cutoff: int) -> DensityEstimate:
@@ -279,15 +277,11 @@ def dirichlet_convergence_rows(
     if not cutoffs:
         return []
     primes, mask, counts = _classify(subject, cutoffs)
-    fm = primes[mask].astype(np.float64)
-    xi = {}  # s -> the sum below each cutoff; a prefix adds in the order a fresh array would
-    for s in grid:
-        terms = fm**-s
-        xi[s] = [float(np.sum(terms[:members])) for _, members in counts]
+    xi = _xi_sums(primes[mask].astype(np.float64), [members for _, members in counts], grid)
     rows = []
     for j, cutoff in enumerate(cutoffs):
-        for s in grid:
-            value = xi[s][j]
+        for i, s in enumerate(grid):
+            value = xi[i][j]
             row = {"cutoff": cutoff, "s": s, "xi": value, "ratio": value / math.log(1.0 / (s - 1.0))}
             if reference is not None:
                 row["reference"] = float(reference)
@@ -323,5 +317,4 @@ def write_convergence_csv(rows: Sequence[dict], fileobj) -> None:
         return
     writer = csv.DictWriter(fileobj, fieldnames=list(rows[0].keys()))
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)

@@ -2,7 +2,7 @@
 
 All ranges are half-open ``[lo, hi)`` and all outputs are strictly
 increasing.  The sieve is segmented so that memory stays proportional to
-``segment_size`` regardless of ``hi``, and segments are merged in ascending
+``SEGMENT_SIZE`` regardless of ``hi``, and segments are merged in ascending
 order, so the output is identical however the segments are scheduled.
 """
 
@@ -20,8 +20,8 @@ from .errors import ResourceLimitError
 #: Refuse to sieve past this bound unless the caller overrides ``hard_cap``.
 HARD_CAP = 2**40
 
-#: Default segment length; a full pass to 10^7 takes well under a second.
-DEFAULT_SEGMENT_SIZE = 1 << 21
+#: Segment length, read at each sieve call; a full pass to 10^7 takes well under a second.
+SEGMENT_SIZE = 1 << 21
 
 # Witnesses making Miller-Rabin deterministic below ~3.3e24 (far beyond HARD_CAP).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -30,17 +30,14 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 @dataclass(frozen=True)
 class PrimeRange:
-    """Half-open prime search range ``[lo, hi)`` with a sieve tuning knob."""
+    """Half-open prime search range ``[lo, hi)``."""
 
     lo: int
     hi: int
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def __post_init__(self) -> None:
         if self.lo < 2:
             raise ValueError(f"lo must be >= 2, got {self.lo}")
-        if self.segment_size < 1:
-            raise ValueError("segment_size must be positive")
 
     def is_empty(self) -> bool:
         return self.hi <= self.lo
@@ -58,14 +55,6 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _check_cap(rng: PrimeRange, hard_cap: int) -> None:
-    if rng.hi > hard_cap:
-        raise ResourceLimitError(
-            f"hi={rng.hi} exceeds the configured cap {hard_cap}; "
-            "pass hard_cap explicitly to allow larger ranges"
-        )
-
-
 def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[np.ndarray]:
     """Yield the primes of ``rng`` one ascending segment at a time.
 
@@ -73,13 +62,17 @@ def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[n
     sqrt(hi); concatenating the yields equals a single-shot sieve of the
     whole range.
     """
-    _check_cap(rng, hard_cap)
+    if rng.hi > hard_cap:
+        raise ResourceLimitError(
+            f"hi={rng.hi} exceeds the configured cap {hard_cap}; "
+            "pass hard_cap explicitly to allow larger ranges"
+        )
     if rng.is_empty():
         return
     base = _simple_sieve(math.isqrt(rng.hi - 1))
     lo = rng.lo
     while lo < rng.hi:
-        end = min(lo + rng.segment_size, rng.hi)
+        end = min(lo + SEGMENT_SIZE, rng.hi)
         mask = np.ones(end - lo, dtype=bool)
         for p in base.tolist():
             if p * p >= end:

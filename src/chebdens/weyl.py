@@ -7,7 +7,8 @@ full root set is generated as the closure of the simple roots under the
 simple reflections, and group elements are represented as permutations of
 the root list.
 
-Group orders come from the product of the invariant degrees.  Class counts:
+Group orders come from the product of the invariant degrees d_i, and root
+counts from 2 * sum(d_i - 1), which checks the generated roots.  Class counts:
 
 * A_n: partitions of n+1 (cycle types of the symmetric group S_{n+1});
 * B_n, C_n: pairs of partitions (a, b) with |a| + |b| = n (signed cycle
@@ -24,6 +25,7 @@ enumerate; the cap keeps E7/E8 out of its reach by default.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,9 +61,7 @@ class RootSystemType:
             (fam == "A" and n >= 1)
             or (fam in ("B", "C") and n >= 2)
             or (fam == "D" and n >= 4)
-            or (fam == "E" and n in (6, 7, 8))
-            or (fam == "F" and n == 4)
-            or (fam == "G" and n == 2)
+            or (fam, n) in _EXCEPTIONAL_DEGREES
         )
         if not valid:
             raise ValueError(f"invalid irreducible type {fam}{n}")
@@ -160,21 +160,12 @@ def invariant_degrees(rst_type: RootSystemType) -> tuple[int, ...]:
 
 
 def weyl_order(rst_type: RootSystemType) -> int:
-    order = 1
-    for deg in invariant_degrees(rst_type):
-        order *= deg
-    return order
+    return math.prod(invariant_degrees(rst_type))
 
 
 def expected_root_count(rst_type: RootSystemType) -> int:
-    fam, n = rst_type.family, rst_type.rank
-    if fam == "A":
-        return n * (n + 1)
-    if fam in ("B", "C"):
-        return 2 * n * n
-    if fam == "D":
-        return 2 * n * (n - 1)
-    return {("G", 2): 12, ("F", 4): 48, ("E", 6): 72, ("E", 7): 126, ("E", 8): 240}[(fam, n)]
+    """2 * sum(d_i - 1): twice the number of positive roots, read off the degrees."""
+    return 2 * sum(deg - 1 for deg in invariant_degrees(rst_type))
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +173,23 @@ def expected_root_count(rst_type: RootSystemType) -> int:
 
 def _simple_root_vectors(rst_type: RootSystemType) -> list[tuple[int, ...]]:
     fam, n = rst_type.family, rst_type.rank
-    if fam == "A":
-        dim = n + 1
+    if fam in ("A", "B", "C", "D"):
+        # the chain e_i - e_{i+1}, then B, C and D close it with one more root
+        dim = n + 1 if fam == "A" else n
         alphas = []
-        for i in range(n):
+        for i in range(dim - 1):
             v = [0] * dim
             v[i], v[i + 1] = 1, -1
             alphas.append(v)
-    elif fam in ("B", "C", "D"):
-        dim = n
-        alphas = []
-        for i in range(n - 1):
-            v = [0] * dim
-            v[i], v[i + 1] = 1, -1
-            alphas.append(v)
-        last = [0] * dim
-        if fam == "B":
-            last[n - 1] = 1
-        elif fam == "C":
-            last[n - 1] = 2
-        else:
-            last[n - 2] = last[n - 1] = 1
-        alphas.append(last)
+        if fam != "A":
+            last = [0] * dim
+            if fam == "B":
+                last[n - 1] = 1
+            elif fam == "C":
+                last[n - 1] = 2
+            else:
+                last[n - 2] = last[n - 1] = 1
+            alphas.append(last)
     elif fam == "G":
         alphas = [[1, -1, 0], [-2, 1, 1]]
     elif fam == "F":
@@ -250,11 +236,9 @@ def build_root_system(rst_type: RootSystemType | str) -> RootSystemData:
                     fresh.append(y)
         frontier = fresh
     ordered = tuple(sorted(roots))
-    if len(ordered) != expected_root_count(rst_type):
-        raise InvariantViolationError(
-            f"{rst_type}: generated {len(ordered)} roots, "
-            f"expected {expected_root_count(rst_type)}"
-        )
+    expected = expected_root_count(rst_type)
+    if len(ordered) != expected:
+        raise InvariantViolationError(f"{rst_type}: generated {len(ordered)} roots, expected {expected}")
     return RootSystemData(
         type=rst_type,
         roots=ordered,
@@ -426,23 +410,17 @@ def _orbit_count(arr: np.ndarray, cols, gens: Sequence[np.ndarray]) -> int:
 
 def conjugacy_class_count(
     elements: Sequence[Sequence[int]],
-    generators: Sequence[Sequence[int]] | None = None,
+    generators: Sequence[Sequence[int]],
 ) -> int:
-    """Number of conjugation orbits of the listed group elements.
+    """Number of conjugation orbits of the listed group elements under ``generators``.
 
-    Orbits are taken under conjugation by ``generators`` (default: all the
-    elements, correct but slow); passing a generating set gives the true
-    class count at a fraction of the cost.
+    For a group, any generating set gives the class count: a few generators
+    are fast, and the elements themselves are correct but slow.
     """
     arr = np.asarray(elements)
     dtype = _perm_dtype(arr.shape[1])
     arr = arr.astype(dtype)
-    gen_arrs = (
-        [np.asarray(g, dtype=dtype) for g in generators]
-        if generators is not None
-        else list(arr)
-    )
-    return _orbit_count(arr, slice(None), gen_arrs)
+    return _orbit_count(arr, slice(None), [np.asarray(g, dtype=dtype) for g in generators])
 
 
 def enumerated_constants(

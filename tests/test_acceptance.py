@@ -1,6 +1,9 @@
 """Acceptance gate: each criterion runs at its stated tolerance and prints a
 pass/fail line.  The same checks back the ``chebdens verify`` command."""
 
+import re
+import time
+
 import chebdens.density as density_mod
 import chebdens.splitting as splitting_mod
 from chebdens import acceptance
@@ -76,3 +79,18 @@ def test_criterion_5_reads_the_masks_of_criterion_2(monkeypatch):
     assert calls == []
     assert result.passed
     assert result.detail == want
+
+
+def test_crashed_criterion_reports_its_title_and_time(monkeypatch):
+    def boom(sets, s):
+        time.sleep(0.25)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance.calculus, "truncated_inclusion_exclusion_check", boom)
+    lines = []
+    results = acceptance.run_acceptance(cutoff=10**5, out=lines.append)
+    assert len(lines) == len(results) == 8
+    assert re.fullmatch(r"FAIL  criterion 3: inclusion-exclusion identity, exact arithmetic "
+                        r"\[raised RuntimeError: boom\] \(\d+\.\ds\)", lines[2]), lines[2]
+    assert results[2].elapsed >= 0.25
+    assert all(line.startswith("PASS") for i, line in enumerate(lines) if i != 2)

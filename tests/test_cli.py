@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import chebdens.cli as cli_mod
 import chebdens.splitting as splitting_mod
 from chebdens import InvariantViolationError, calculus, csp_bound_pipeline
+from chebdens.bounds import decimal_str
 from chebdens.cli import main
 from oracles import scan_per_record
 
@@ -295,6 +297,28 @@ class TestCalculus:
         assert code == 0
         assert _read_fraction(json.loads(out)["result"]) == calculus.disjoint_union_density(spec)
 
+    def test_int_beyond_int_str_limit(self, capsys):
+        # m * t^ell = 2^20000 has 6021 digits, past str()'s default limit of 4300
+        code, out, err = run_cli(capsys, "calculus", "compositum-degree", "1", "2", "20000", "20000")
+        assert (code, err) == (0, "")
+        assert out == f'{{"operation": "compositum-degree", "result": {decimal_str(2**20000)}}}\n'
+        code, out, _ = run_cli(capsys, "calculus", "compositum-degree", "1", "2", "3", "2")
+        assert (code, out) == (0, '{"operation": "compositum-degree", "result": 4}\n')
+
+    def test_long_ints_keep_their_places(self, capsys):
+        # sorted keys put the long ints in another order than the payload's
+        payload = {"b": [3**9000, -(2**7000), 1], "a": {"z": 5**6000, "y": Fraction(1, 3)},
+                   "c": (7**8000, True, None, "\u0001")}
+        cli_mod._emit_json(payload)
+        out = capsys.readouterr().out
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = json.dumps(payload, sort_keys=True, default=str)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out == want + "\n"
+
     def test_containment_error_exits_nonzero(self, capsys):
         code, _, err = run_cli(capsys, "calculus", "intersection-bound", "3/4", "1/4", "1/2")
         assert code == 1
@@ -456,3 +480,33 @@ def test_verify_subcommand_runs_all_criteria(capsys):
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand, each argument's option strings (its dest if positional),
+    nargs, default, choices and required flag.
+
+    argparse derives a positional's required flag from its nargs, and not the
+    same way in every version, so a positional records its nargs alone.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [
+            {
+                "options": action.option_strings or [action.dest],
+                "nargs": action.nargs,
+                "default": action.default,
+                "choices": None if action.choices is None else list(action.choices),
+                "required": action.required if action.option_strings else None,
+            }
+            for action in sub._actions
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_parser_options_match_the_recorded_table():
+    # the table was read from the parser with _parser_options; a flag added, removed
+    # or changed fails here, however a Python version's argparse words its help
+    recorded = json.loads((Path(__file__).parent / "data" / "cli_options.json").read_text())
+    assert _parser_options(cli_mod.build_parser()) == recorded

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chebdens.primes as primes_mod
 from chebdens import PrimeRange, ResourceLimitError, is_prime, prime_count, sieve_primes
 from oracles import odd_bytearray_sieve, trial_division_is_prime
 
@@ -43,7 +46,7 @@ def test_hard_cap():
     with pytest.raises(ResourceLimitError):
         sieve_primes(PrimeRange(2, 2**41))
     # overridable by the explicit flag
-    assert sieve_primes(PrimeRange(2**41, 2**41 + 20, segment_size=64), hard_cap=2**42).size >= 0
+    assert sieve_primes(PrimeRange(2**41, 2**41 + 20), hard_cap=2**42).size >= 0
 
 
 @given(
@@ -56,11 +59,13 @@ def test_hard_cap():
 def test_segmentation_transparency(lo, span1, span2, seg):
     mid = lo + span1
     hi = mid + span2
-    left = sieve_primes(PrimeRange(lo, mid, segment_size=seg))
-    right = sieve_primes(PrimeRange(mid, hi, segment_size=seg))
     whole = sieve_primes(PrimeRange(lo, hi))
+    with mock.patch.object(primes_mod, "SEGMENT_SIZE", seg):
+        left = sieve_primes(PrimeRange(lo, mid))
+        right = sieve_primes(PrimeRange(mid, hi))
+        count = prime_count(PrimeRange(lo, hi))
     assert np.concatenate([left, right]).tolist() == whole.tolist()
-    assert prime_count(PrimeRange(lo, hi, segment_size=seg)) == whole.size
+    assert count == whole.size
 
 
 def test_emitted_primes_pass_witness_check(primes_1e5):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -31,6 +32,14 @@ _CANDIDATE_TYPES = (
     + ["E6", "E7", "E8", "F4", "G2"]
 )
 SMALL_TYPES = [label for label in _CANDIDATE_TYPES if weyl_order(parse_type(label)) <= 60_000]
+
+# every irreducible type of rank at most 8
+RANK_8_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 # (label, rank, order, classes) for the cases quoted throughout
 TABLE = [
@@ -80,6 +89,14 @@ class TestTables:
                 product *= deg
             assert weyl_order(t) == product == order
             assert 1 <= classes <= order
+
+    @pytest.mark.parametrize("label", RANK_8_TYPES)
+    def test_root_count_and_order_follow_from_the_degrees(self, label):
+        # the roots are the reflection closure, independent of expected_root_count
+        t = parse_type(label)
+        degrees = invariant_degrees(t)
+        assert len(build_root_system(t).roots) == 2 * sum(d - 1 for d in degrees)
+        assert weyl_order(t) == math.prod(degrees)
 
     def test_symmetric_group_class_count_is_partitions(self):
         for n in range(1, 8):
@@ -159,8 +176,9 @@ class TestEnumeration:
             enumerate_weyl_group("A3", cap=10)
 
     def test_conjugacy_count_without_generators(self):
+        # the elements themselves generate the group
         elements = enumerate_weyl_group("A2")
-        assert conjugacy_class_count(elements) == 3
+        assert conjugacy_class_count(elements, elements) == 3
 
     def test_conjugacy_count_with_generators(self):
         data = build_root_system("B3")
@@ -190,7 +208,7 @@ class TestEnumerationOracle:
     @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
     def test_default_generators_match(self, label):
         elements = enumerate_weyl_group(label)
-        count = conjugacy_class_count(elements)
+        count = conjugacy_class_count(elements, elements)
         assert count == class_count_by_dict(elements) == class_count(parse_type(label))
 
 
