@@ -13,6 +13,7 @@ complete-splitting set has density 1 / (m * t^ell).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,13 +22,43 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ContainmentError, InconsistencyError
 
 
-def _fraction_sum(terms: Sequence[Fraction]) -> Fraction:
-    """Sum by pairwise merging; keeps intermediate denominators balanced."""
-    items = list(terms)
-    if not items:
-        return Fraction(0)
+def _pick_coprime_constructor():
+    """The fastest way this interpreter offers to build a Fraction from a
+    pair already in lowest terms, and the name of that branch."""
+    if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12+
+        return "_from_coprime_ints", Fraction._from_coprime_ints
+    try:  # CPython 3.10/3.11
+        Fraction(1, 1, _normalize=False)
+    except TypeError:
+        return "Fraction", Fraction
+    return "_normalize=False", lambda n, d: Fraction(n, d, _normalize=False)
+
+
+_COPRIME_BRANCH, _coprime_constructor = _pick_coprime_constructor()
+
+
+def _coprime_fraction(n: int, d: int) -> Fraction:
+    """Fraction n/d without the gcd that normalisation would spend.
+
+    The caller guarantees gcd(n, d) == 1 and d > 0, so n/d is already in
+    lowest terms; every call site states the reason.  This is the only place
+    in the package that builds a Fraction without normalising it.
+    """
+    return _coprime_constructor(n, d)
+
+
+def _reciprocal_sum(denominators: Sequence[int]) -> tuple[int, int]:
+    """(N, D) with N/D = sum of 1/d over ``denominators``, by a product tree.
+
+    Pairs merge as N = N_L*D_R + N_R*D_L, D = D_L*D_R, so operand sizes stay
+    balanced and no gcd is taken (Bernstein, "Fast multiplication and its
+    applications", 2008).  D is the product of all denominators; when they
+    are pairwise coprime the pair is in lowest terms, since N is congruent
+    to the product of the other denominators modulo each one.
+    """
+    items = [(1, d) for d in denominators] or [(0, 1)]
     while len(items) > 1:
-        merged = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        merged = [(nl * dr + nr * dl, dl * dr) for (nl, dl), (nr, dr) in zip(items[::2], items[1::2])]
         if len(items) % 2:
             merged.append(items[-1])
         items = merged
@@ -181,7 +212,7 @@ def truncated_inclusion_exclusion_check(
             raise ValueError("set members must be integers >= 2")
 
     def xi(members: frozenset[int]) -> Fraction:
-        return _fraction_sum([Fraction(1, p**s) for p in sorted(members)])
+        return Fraction(*_reciprocal_sum([p**s for p in sorted(members)]))
 
     union: frozenset[int] = frozenset().union(*families)
     lhs = xi(union)
@@ -198,10 +229,25 @@ def truncated_inclusion_exclusion_check(
     return residual == 0, residual
 
 
+def _over_tower_degree(n: int, spec: TowerSpec) -> Fraction:
+    """n / (m * t^r) in lowest terms, for n prime to t.
+
+    The only common factor is then g = gcd(n, m); dividing it out avoids the
+    gcd of two integers of about r * log2(t) bits that Fraction(n, m * t^r)
+    would take.
+    """
+    g = math.gcd(n, spec.m)
+    return _coprime_fraction(n // g, spec.m // g * spec.t**spec.r)
+
+
 def disjoint_union_density(spec: TowerSpec) -> Fraction:
-    """Density of the union of the r complete-splitting sets: (1 - (1 - 1/t)^r) / m."""
-    m, t, r = spec.m, spec.t, spec.r
-    return Fraction(t**r - (t - 1) ** r, m * t**r)
+    """Density of the union of the r complete-splitting sets: (1 - (1 - 1/t)^r) / m.
+
+    The numerator t^r - (t-1)^r is prime to t because (t-1)^r is, so the
+    result is built in lowest terms by ``_over_tower_degree``.
+    """
+    t, r = spec.t, spec.r
+    return _over_tower_degree(t**r - (t - 1) ** r, spec)
 
 
 def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
@@ -210,6 +256,9 @@ def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
     Given d(S n Spl(M/K)) = d_overlap, theta = d_overlap - (1 - 1/t)^r / m;
     when positive, some tower extension P_i has upper density of
     S n Spl(P_i/K) at least theta/r.
+
+    The subtrahend (t-1)^r / (m * t^r) is built in lowest terms by
+    ``_over_tower_degree``, since gcd(t-1, t) = 1.
     """
     d_overlap = as_density(d_overlap)
     ambient = Fraction(1, spec.m)
@@ -217,7 +266,7 @@ def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
         raise InconsistencyError(
             f"d(S n Spl(M/K)) = {d_overlap} exceeds d(Spl(M/K)) = {ambient}"
         )
-    theta = d_overlap - Fraction((spec.t - 1) ** spec.r, spec.m * spec.t**spec.r)
+    theta = d_overlap - _over_tower_degree((spec.t - 1) ** spec.r, spec)
     return ThetaBound(theta, max(theta, Fraction(0)) / spec.r, theta <= 0)
 
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .calculus import _fraction_sum
+from .calculus import _coprime_fraction, _reciprocal_sum
 from .errors import InconsistencyError
 from .primes import primes_upto
 from .splitting import (
@@ -143,7 +143,9 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     """Truncated xi_A(s): sum of p^(-s) over member primes below the cutoff.
 
     Integral s (given as int or integral Fraction) is summed with exact
-    rational arithmetic; otherwise float64 in ascending order.
+    rational arithmetic; otherwise float64 in ascending order.  The exact sum
+    is built already reduced: the members are distinct sieve primes, so their
+    powers p^s are pairwise coprime and the product-tree sum is in lowest terms.
     """
     _validate_s(s)
     if cutoff < 2:
@@ -151,7 +153,7 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     primes, mask, _ = _classify(subject, [int(cutoff)])
     members = primes[mask]
     if isinstance(s, Integral) or (isinstance(s, Fraction) and s.denominator == 1):
-        value: float | Fraction = _fraction_sum([Fraction(1, p ** int(s)) for p in members.tolist()])
+        value: float | Fraction = _coprime_fraction(*_reciprocal_sum([p ** int(s) for p in members.tolist()]))
     else:
         value = _xi_sums(members.astype(np.float64), [None], [float(s)])[0][0]
     return PartialZetaValue(s, int(cutoff), value)

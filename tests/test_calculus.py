@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from chebdens import (
     InconsistencyError,
     TowerSpec,
     as_density,
+    calculus,
     compositum_degree,
     disjoint_union_density,
     inclusion_exclusion_density,
@@ -160,6 +162,22 @@ class TestTruncatedInclusionExclusion:
             equal, residual = truncated_inclusion_exclusion_check(sets, rng.choice((2, 3)))
             assert equal and residual == 0
 
+    @pytest.mark.parametrize(
+        "sets", [[[4, 6, 9], [6, 10]], [[4, 8, 16], [6, 12], [9, 27, 81]], [[6, 10, 15], [10, 15, 21]]]
+    )
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_composite_and_shared_factor_members(self, sets, s):
+        equal, residual = truncated_inclusion_exclusion_check(sets, s)
+        assert equal and residual == 0
+        assert math.gcd(residual.numerator, residual.denominator) == 1
+
+    @pytest.mark.parametrize("members", [[], [4], [4, 6], [4, 6, 9], [6, 10, 15, 21, 35], [2, 4, 8]])
+    def test_tree_sum_of_any_denominators(self, members):
+        n, d = calculus._reciprocal_sum([p**2 for p in members])
+        got = Fraction(n, d)
+        assert got == sum((Fraction(1, p**2) for p in members), Fraction(0))
+        assert math.gcd(got.numerator, got.denominator) == 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             truncated_inclusion_exclusion_check([], 2)
@@ -230,3 +248,56 @@ class TestTowerFormulas:
             TowerSpec(1, 1, 1)
         with pytest.raises(ValueError):
             TowerSpec(1, 2, 0)
+
+
+def _assert_same_reduced_pair(got: Fraction, want: Fraction) -> None:
+    # Fraction == compares the stored pair, so an unreduced result would fail here.
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert math.gcd(got.numerator, got.denominator) == 1
+
+
+def _check_reduced_tower_formulas(m: int, t: int, r: int) -> None:
+    spec = TowerSpec(m, t, r)
+    _assert_same_reduced_pair(
+        disjoint_union_density(spec), Fraction(t**r - (t - 1) ** r, m * t**r)
+    )
+    # At overlap 0, theta is minus the subtrahend exactly as the helper built it.
+    for overlap in (Fraction(0), Fraction(1, 2 * m), Fraction(1, m)):
+        _assert_same_reduced_pair(
+            tower_theta(overlap, spec).theta, overlap - Fraction((t - 1) ** r, m * t**r)
+        )
+
+
+class TestReducedConstructions:
+    """The lowest-terms constructions against the normalising Fraction(n, d)."""
+
+    @pytest.mark.parametrize(
+        "m, t, r",
+        [(5, 6, 1), (5, 6, 7), (25, 6, 2), (25, 6, 9), (10, 6, 3), (4, 3, 2), (4, 3, 5)],
+    )
+    def test_theta_where_the_subtrahend_shares_a_factor_with_m(self, m, t, r):
+        assert math.gcd((t - 1) ** r, m) > 1
+        _check_reduced_tower_formulas(m, t, r)
+
+    @pytest.mark.parametrize("m, t, r", [(3, 2, 2), (11, 6, 2), (19, 3, 3), (35, 6, 3)])
+    def test_union_where_the_numerator_shares_a_factor_with_m(self, m, t, r):
+        assert math.gcd(t**r - (t - 1) ** r, m) > 1
+        _check_reduced_tower_formulas(m, t, r)
+
+    @given(st.integers(1, 720), st.integers(2, 40), st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_normalising_construction(self, m, t, r):
+        _check_reduced_tower_formulas(m, t, r)
+
+
+@pytest.mark.skipif(
+    calculus._COPRIME_BRANCH == "Fraction",
+    reason="this interpreter's fractions module has neither Fraction._from_coprime_ints "
+    "nor the _normalize keyword, so every Fraction is normalised",
+)
+@pytest.mark.parametrize("branch", [calculus._COPRIME_BRANCH])
+def test_coprime_fraction_skips_the_gcd(branch):
+    # An unreduced pair stays unreduced only if the constructor really skips the gcd;
+    # the parameter id names the branch this interpreter took.
+    got = calculus._coprime_fraction(2, 4)
+    assert (got.numerator, got.denominator) == (2, 4), branch

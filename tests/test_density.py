@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chebdens.density as density_mod
 from chebdens import (
@@ -36,6 +38,7 @@ from oracles import (
     slow_fraction_zeta,
 )
 
+SMALL_PRIMES = odd_bytearray_sieve(2000)
 MOD4 = abelian_model(4, [1])
 ALL_PRIMES = abelian_model(1, [1])
 X3M2 = splitting_field_model((-2, 0, 0, 1), 6)
@@ -62,6 +65,19 @@ class TestPartialZeta:
         members = [int(p) for p in primes_1e4.tolist() if p % 4 == 1][:200]
         got = partial_zeta(members, 3, 10**4).value
         assert got == slow_fraction_zeta(members, 3)
+
+    @given(st.lists(st.sampled_from(SMALL_PRIMES), unique=True, max_size=41), st.sampled_from([2, 3, 4]))
+    @example([], 2)
+    @example([7], 3)
+    @example([2, 1999], 4)
+    @example([3, 5, 7], 2)
+    @settings(max_examples=80, deadline=None)
+    def test_tree_sum_is_reduced_and_matches_slow_oracle(self, members, s):
+        got = partial_zeta(members, s, 2000).value
+        want = slow_fraction_zeta(members, s)
+        # Fraction == compares the stored pair, so an unreduced sum would fail here.
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert math.gcd(got.numerator, got.denominator) == 1
 
     def test_float_mode_matches_fsum(self, primes_1e4):
         got = partial_zeta(MOD4, 1.5, 10**4).value
