@@ -28,9 +28,13 @@ arithmetic: square-and-multiply for x^p and distinct-degree factorization
 for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
 the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
 GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
-left-to-right ladder computes x^p mod (f, p), and cycle types come from the
-nullities of Q^d - I, Q being Berlekamp's matrix of the Frobenius map on
-GF(p)[x]/(f).  A block runs in int64 when its largest prime is at most
+left-to-right ladder computes x^p mod (f, p), and cycle types come from
+traces: with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f),
+tr(Q^d) mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
+GF(p^d) whenever p > deg f, and Moebius inversion gives the counts c_k of
+degree-k factors.  A prime p <= deg f (at most 2, 3, 5 and 7 for
+deg f <= 8) goes through the single-prime distinct-degree factorization
+instead.  A block runs in int64 when its largest prime is at most
 ``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
 the same functions on an ``object`` array of Python ints.
 """
@@ -40,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Iterable, Sequence, Union
 
@@ -418,15 +421,13 @@ def splits_completely(model: GaloisExtensionModel, p: int) -> bool:
     return xp == [1, 0]
 
 
-def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleType:
-    """Distinct-degree factorization shape of f mod p at an unramified prime."""
-    if not isinstance(model, SplittingFieldModel):
-        raise TypeError("cycle types are defined for splitting-field models only")
-    _require_unramified(model, p)
-    f = _desc_mod_p(model.poly, p)
-    deg = len(f) - 1
+def _factor_degrees(poly: Sequence[int], p: int) -> list[int]:
+    """Degrees of the irreducible factors of f mod p by distinct-degree factorization.
+
+    Exact for f squarefree mod p; the caller checks that p is unramified.
+    """
+    work = _desc_mod_p(poly, p)
     degrees: list[int] = []
-    work = f
     g = _rem([1, 0], work, p)  # x mod work
     d = 0
     while len(work) - 1 > 0:
@@ -444,7 +445,16 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
             if rem:  # h divides work by construction
                 raise InvariantViolationError(f"gcd factor of f mod {p} left remainder {rem}")
             g = _rem(g, work, p)
-    ct = FrobeniusCycleType(tuple(degrees))
+    return degrees
+
+
+def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleType:
+    """Distinct-degree factorization shape of f mod p at an unramified prime."""
+    if not isinstance(model, SplittingFieldModel):
+        raise TypeError("cycle types are defined for splitting-field models only")
+    _require_unramified(model, p)
+    ct = FrobeniusCycleType(tuple(_factor_degrees(model.poly, p)))
+    deg = model.poly_degree
     if sum(ct.degrees) != deg:
         raise InconsistencyError(f"cycle type {ct} does not sum to deg f = {deg}")
     if model.galois_order % ct.element_order != 0:
@@ -672,64 +682,17 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_mod_p(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank over GF(p) of each (n, n) slice ``a[:, :, b]``; entries in [0, p), ``a`` is overwritten.
-
-    Fraction-free elimination needs no modular inverse: at column c a pivot
-    row clears the other free rows by ``row <- pivot * row - row[c] * pivot_row``,
-    a difference of two products below (p-1)^2.
-    """
-    n, _, size = a.shape
-    cols = np.arange(size)
-    free = np.ones((n, size), dtype=bool)
-    rank = np.zeros(size, dtype=np.int64)
-    for c in range(n):
-        cand = free & (a[:, c] != 0)
-        found = cand.any(axis=0)
-        rank += found
-        if c == n - 1:
-            break
-        piv = cand.argmax(axis=0)
-        free[piv, cols] &= ~found
-        pivot = np.where(found, a[piv, c, cols], 1)
-        factor = np.where(free, a[:, c], 0)
-        pivot_row = a[piv, c + 1:, cols].T
-        rest = a[:, c + 1:]
-        rest *= pivot
-        rest -= factor[:, None] * pivot_row
-        rest %= p
-    return rank
-
-
-def _nullity_inverse(n: int) -> tuple[np.ndarray, int]:
-    """(M, L) with ``L * c == M @ N`` for the factor-degree counts of a squarefree f.
-
-    With c_k the number of degree-k factors, the nullity of Q^d - I is
-    N(d) = sum_k c_k gcd(d, k) = sum_{e | d} phi(e) A(e), where A(e) counts
-    the factors of degree divisible by e.  Moebius inversion over the
-    divisors gives phi(e) A(e), and over the multiples c_k = sum_m mu(m) A(km).
-    """
-    def mu(m: int) -> int:
-        factors = prime_factors(m) if m > 1 else frozenset()
-        return 0 if any(m % (q * q) == 0 for q in factors) else (-1) ** len(factors)
-
-    rows = []
-    for k in range(1, n + 1):
-        row = [Fraction(0)] * n
-        for e in range(k, n + 1, k):
-            weight = Fraction(mu(e // k), euler_phi(e))
-            for d in range(1, e + 1):
-                if e % d == 0:
-                    row[d - 1] += weight * mu(e // d)
-        rows.append(row)
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return np.array([[int(x * scale) for x in row] for row in rows], dtype=np.int64), scale
-
-
 def _block_cycle_counts(
     model: SplittingFieldModel, p: np.ndarray
 ) -> tuple[np.ndarray, Exception | None, int]:
     """Counts c_k (shape (n, B)) of one block, the first error and its column.
+
+    R(d) = sum_{k | d} k c_k, the number of roots of f in GF(p^d), is
+    tr(Q^d) mod p: on a factor GF(p^k) of GF(p)[x]/(f) the Frobenius permutes
+    a normal basis cyclically, so Q^d has trace k if k | d and 0 otherwise.
+    For p > n that residue is R(d) itself, and k c_k = R(k) minus the terms
+    j c_j of the proper divisors j of k (Moebius inversion).  A column with
+    p <= n takes its degrees from ``_factor_degrees`` instead.
 
     Every check of ``frobenius_cycle_type`` runs per column; the error is the
     one that function raises at the first failing column, whose index is
@@ -743,23 +706,28 @@ def _block_cycle_counts(
         q[1] = _x_pow_p(red, p)
         for i in range(2, n):
             q[i] = _block_mulmod(q[i - 1], q[1], red, p)
-    eye = np.eye(n, dtype=np.int64)[:, :, None]
-    nullity = np.empty((n, p.size), dtype=np.int64)
+    roots = np.empty((n, p.size), dtype=np.int64)
     power = q
     for d in range(n):
         if d:
             power = _matmul_mod(power, q, p)
-        nullity[d] = n - _rank_mod_p((power - eye) % p, p)
-    mobius, scale = _nullity_inverse(n)
-    scaled = mobius @ nullity
-    counts = scaled // scale
-    broken = ((scaled % scale != 0) | (counts < 0)).any(axis=0)
-    broken |= np.arange(1, n + 1) @ counts != n
+        roots[d] = np.trace(power) % p
+    ramified = _bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0)
+    for j in np.flatnonzero((p <= n) & ~ramified):  # there tr(Q^d) mod p loses R(d)
+        degrees = _factor_degrees(model.poly, int(p[j]))
+        roots[:, j] = [sum(k for k in degrees if d % k == 0) for d in range(1, n + 1)]
+    kc = roots.copy()  # row k-1 becomes k c_k
+    for k in range(2, n + 1):
+        kc[k - 1] -= kc[[j - 1 for j in range(1, k) if k % j == 0]].sum(axis=0)
+    weights = np.arange(1, n + 1)[:, None]
+    counts = kc // weights
+    # every cycle type has R(d) <= n; a larger residue is checked by itself,
+    # since it could wrap the int64 sums
+    broken = ((roots > n) | (kc % weights != 0) | (kc < 0)).any(axis=0) | (kc.sum(axis=0) != n)
     # the Frobenius order, the lcm of the factor degrees, divides galois_order
     # exactly when every factor degree does
     misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]
-    fail = (_bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0) | broken
-            | (counts[misfit] > 0).any(axis=0))
+    fail = ramified | broken | (counts[misfit] > 0).any(axis=0)
     if not fail.any():
         return counts, None, p.size
     j = int(fail.argmax())
@@ -767,7 +735,7 @@ def _block_cycle_counts(
     error = _ramification_error(model, prime)
     if error is None and broken[j]:
         error = InvariantViolationError(
-            f"Berlekamp nullities {nullity[:, j].tolist()} of f mod {prime} give no cycle type"
+            f"Frobenius traces {roots[:, j].tolist()} of f mod {prime} give no cycle type"
         )
     if error is None:
         order = math.lcm(*(k for k, c in enumerate(counts[:, j].tolist(), 1) if c))

@@ -18,7 +18,8 @@ from oracles import scan_per_record
 
 # exit code, stdout and stderr of spl and frob in every format, on a polynomial
 # and an abelian model, on scans that fail midway (a wrong galois_order, an
-# incomplete bad_primes), and on a scan long enough to print a progress line;
+# incomplete bad_primes), on a scan long enough to print a progress line, and
+# on x^5 - x - 1, whose unramified primes 2, 3 and 5 are at most its degree;
 # scan output is an interface and must stay byte-identical.  A long stdout is
 # stored as its sha256.
 SCAN_GOLDEN = json.loads((Path(__file__).parent / "data" / "scan_golden.json").read_text())

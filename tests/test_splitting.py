@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chebdens.cli as cli_mod
@@ -348,7 +348,9 @@ class TestBatchedEngineDifferential:
 
     Each drawn array runs twice: whole, as one block holding primes above
     the int64 bound (so an object block of Python ints), and restricted to
-    the primes up to that bound (an int64 block).
+    the primes up to that bound (an int64 block).  The examples start the
+    window at 2, so the primes 2, 3, 5 and 7, which are at most deg f and
+    take the distinct-degree route, are unramified columns of the block.
     """
 
     @given(
@@ -358,6 +360,8 @@ class TestBatchedEngineDifferential:
         st.integers(1, 10**5),
         st.integers(1, 10**5),
     )
+    @example([-1, -1, 0, 0, 0], 2, 0, 1, 1)  # x^5 - x - 1, disc 19 * 151
+    @example([-1, -1, 0, 0, 0, 0, 0, 0], 2, 0, 1, 1)  # x^8 - x - 1, disc -11 * 1600069
     @settings(max_examples=60, deadline=None)
     def test_batched_matches_single_prime_paths(self, lower, small, near_2_26, below, above):
         poly = tuple(lower) + (1,)
@@ -400,6 +404,23 @@ class TestBatchedEngineDifferential:
             messages = {str(e) for e in (error, mask_error.value, shape_error.value)}
             assert messages == {str(scalar_error.value)}
             assert seen.tolist() == clean[:2].tolist() and counts.shape == (n, seen.size)
+
+    def test_counts_that_are_no_cycle_type_raise(self, monkeypatch):
+        # x^p zeroed in the column of p = 11 leaves Q = diag(1, 0, 0), whose
+        # traces claim one root of x^3 - 2 in every GF(11^d): no cycle type
+        x_pow_p = splitting_mod._x_pow_p
+
+        def corrupted(red, p):
+            r = x_pow_p(red, p)
+            r[:, 2] = 0
+            return r
+
+        monkeypatch.setattr(splitting_mod, "_x_pow_p", corrupted)
+        primes = np.array([5, 7, 11, 13, 17], dtype=np.int64)
+        seen, counts, error = _gathered_cycle_counts(X3M2, primes)
+        assert type(error) is InvariantViolationError
+        assert "f mod 11 give no cycle type" in str(error)
+        assert seen.tolist() == [5, 7] and counts.tolist() == [[1, 0], [1, 0], [0, 1]]
 
 
 class TestPrimesBeyond2To32:
