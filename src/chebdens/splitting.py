@@ -28,9 +28,12 @@ arithmetic: square-and-multiply for x^p and distinct-degree factorization
 for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
 the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
 GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
-left-to-right ladder computes x^p mod (f, p), and cycle types come from
-traces: with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f),
-tr(Q^d) mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
+left-to-right ladder computes x^p mod (f, p), except when f is a binomial
+x^n - a modulo every prime of the block (as are x^2 + 1, x^3 - 2, x^4 + 2):
+then x^n = a in GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n),
+and only the power of a takes a ladder.  Cycle types come from traces:
+with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f), tr(Q^d)
+mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
 GF(p^d) whenever p > deg f, and Moebius inversion gives the counts c_k of
 degree-k factors.  A prime p <= deg f (at most 2, 3, 5 and 7 for
 deg f <= 8) goes through the single-prime distinct-degree factorization
@@ -643,8 +646,23 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
 
 
 def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set."""
+    """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
+
+    When f is x^n - a mod every prime of the block (``red[0]`` = x^n mod f is
+    the constant a), x^n = a in GF(p)[x]/(f), squarefree or not, so x^p is
+    the monomial a^(p // n) x^(p % n); only the power of a needs a ladder,
+    whose products stay below (p - 1)^2.
+    """
     r = np.zeros(red.shape[1:], dtype=red.dtype)
+    n = r.shape[0]
+    if not red[0, 1:].any():
+        a, e = red[0, 0], p // n
+        c = np.ones_like(p)
+        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+            c = c * c % p
+            c = np.where(((e >> bit) & 1).astype(bool), c * a % p, c)
+        r[(p % n).astype(np.intp), np.arange(p.size)] = c
+        return r
     r[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         r = _block_mulmod(r, r, red, p)

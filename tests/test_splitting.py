@@ -41,6 +41,9 @@ X2P1 = splitting_field_model((1, 0, 1), 2)       # x^2 + 1
 X3M2 = splitting_field_model((-2, 0, 0, 1), 6)   # x^3 - 2
 MOD4 = abelian_model(4, [1])
 LINEAR = splitting_field_model((3, 1), 1)         # x + 3
+X4P2 = splitting_field_model((2, 0, 0, 0, 1), 8)  # x^4 + 2
+X5M1 = splitting_field_model((-1, -1, 0, 0, 0, 1), 120)  # x^5 - x - 1
+X3P7XM2 = splitting_field_model((-2, 7, 0, 1), 6)  # x^3 + 7x - 2, which is x^3 - 2 mod 7
 
 
 class TestDiscriminant:
@@ -362,6 +365,12 @@ class TestBatchedEngineDifferential:
     )
     @example([-1, -1, 0, 0, 0], 2, 0, 1, 1)  # x^5 - x - 1, disc 19 * 151
     @example([-1, -1, 0, 0, 0, 0, 0, 0], 2, 0, 1, 1)  # x^8 - x - 1, disc -11 * 1600069
+    # binomials take the monomial route of _x_pow_p, which random coefficients
+    # almost never draw; x^4 + 2 (disc 2^11) and x^8 + 3 (disc 2^24 * 3^7)
+    # keep 3, resp. 5 and 7, as unramified columns with p <= deg f
+    @example([-2, 0, 0], 2, 0, 1, 1)  # x^3 - 2, disc -2^2 * 3^3
+    @example([2, 0, 0, 0], 2, 0, 1, 1)  # x^4 + 2
+    @example([3, 0, 0, 0, 0, 0, 0, 0], 2, 0, 1, 1)  # x^8 + 3
     @settings(max_examples=60, deadline=None)
     def test_batched_matches_single_prime_paths(self, lower, small, near_2_26, below, above):
         poly = tuple(lower) + (1,)
@@ -422,11 +431,35 @@ class TestBatchedEngineDifferential:
         assert "f mod 11 give no cycle type" in str(error)
         assert seen.tolist() == [5, 7] and counts.tolist() == [[1, 0], [1, 0], [0, 1]]
 
+    def test_binomial_only_mod_p(self):
+        # 7 does not divide disc(x^3 + 7x - 2) = -1480
+        model = X3P7XM2
+        primes = np.array([7], dtype=np.int64)
+        assert not splitting_mod._reduction_rows(model.poly, primes)[0, 1:].any()
+        seen, counts, error = _gathered_cycle_counts(model, primes)
+        assert error is None and seen.tolist() == [7]
+        assert counts[:, 0].tolist() == _counts_of(model, 7) == [0, 0, 1]
+        assert split_mask(model, primes).tolist() == [splits_completely(model, 7)] == [False]
+
+    def test_binomial_masks_skip_the_polynomial_ladder(self, monkeypatch, primes_1e4):
+        expected = {model: split_mask(model, primes_1e4) for model in (X3M2, X4P2, X5M1)}
+        expected[X3P7XM2] = split_mask(X3P7XM2, np.array([7], dtype=np.int64))
+
+        def refuse(*args):
+            raise RuntimeError("_block_mulmod called")
+
+        monkeypatch.setattr(splitting_mod, "_block_mulmod", refuse)
+        for model in (X3M2, X4P2):
+            assert (split_mask(model, primes_1e4) == expected[model]).all()
+        assert (split_mask(X3P7XM2, np.array([7], dtype=np.int64)) == expected[X3P7XM2]).all()
+        with pytest.raises(RuntimeError, match="_block_mulmod called"):
+            split_mask(X5M1, primes_1e4)
+
 
 class TestPrimesBeyond2To32:
     """Array primes far beyond the int64 bound, where blocks hold Python ints."""
 
-    MODELS = (X3M2, splitting_field_model((-1, -1, 0, 0, 0, 1), 120))  # x^3 - 2, x^5 - x - 1
+    MODELS = (X3M2, X5M1)
 
     @pytest.mark.parametrize("center", [2**33, 2**40, 2**61], ids=["2^33", "2^40", "2^61"])
     def test_array_paths_match_single_prime(self, center, monkeypatch, capsys):
