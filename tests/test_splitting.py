@@ -433,25 +433,23 @@ class TestBatchedEngineDifferential:
 
     def test_binomial_only_mod_p(self):
         # 7 does not divide disc(x^3 + 7x - 2) = -1480
-        model = X3P7XM2
         primes = np.array([7], dtype=np.int64)
-        assert not splitting_mod._reduction_rows(model.poly, primes)[0, 1:].any()
-        seen, counts, error = _gathered_cycle_counts(model, primes)
+        assert not splitting_mod._reduction_rows(X3P7XM2.poly, primes)[0, 1:].any()
+        seen, counts, error = _gathered_cycle_counts(X3P7XM2, primes)
         assert error is None and seen.tolist() == [7]
-        assert counts[:, 0].tolist() == _counts_of(model, 7) == [0, 0, 1]
-        assert split_mask(model, primes).tolist() == [splits_completely(model, 7)] == [False]
+        assert counts[:, 0].tolist() == _counts_of(X3P7XM2, 7) == [0, 0, 1]
+        assert split_mask(X3P7XM2, primes).tolist() == [splits_completely(X3P7XM2, 7)] == [False]
 
     def test_binomial_masks_skip_the_polynomial_ladder(self, monkeypatch, primes_1e4):
-        expected = {model: split_mask(model, primes_1e4) for model in (X3M2, X4P2, X5M1)}
-        expected[X3P7XM2] = split_mask(X3P7XM2, np.array([7], dtype=np.int64))
+        cases = [(X3M2, primes_1e4), (X4P2, primes_1e4), (X3P7XM2, np.array([7], dtype=np.int64))]
+        expected = [split_mask(model, primes) for model, primes in cases]
 
         def refuse(*args):
             raise RuntimeError("_block_mulmod called")
 
         monkeypatch.setattr(splitting_mod, "_block_mulmod", refuse)
-        for model in (X3M2, X4P2):
-            assert (split_mask(model, primes_1e4) == expected[model]).all()
-        assert (split_mask(X3P7XM2, np.array([7], dtype=np.int64)) == expected[X3P7XM2]).all()
+        for (model, primes), mask in zip(cases, expected):
+            assert (split_mask(model, primes) == mask).all()
         with pytest.raises(RuntimeError, match="_block_mulmod called"):
             split_mask(X5M1, primes_1e4)
 
