@@ -3,23 +3,25 @@
 Run from anywhere inside the repository:
 
     python3 benchmarks/record.py --label binomial --against 9db77ff --seeds 5
-    python3 benchmarks/record.py --label now --workload census --seeds 3
+    python3 benchmarks/record.py --label now --seeds 3
 
 For each workload and each seed, ``perfbench/run.py --trace 0`` runs once in
 the working tree and, with ``--against REV``, once in a copy of REV unpacked
 by ``git archive`` into a temporary directory; each tree runs its own
-perfbench.  The order inside a pair alternates (base first on even pairs),
-so a slow stretch of a shared host falls on both trees alike.  Both trees
-are byte-compiled with ``compileall`` before any timing: perfbench counts
-the import of chebdens in ``setup_s``, and under PYTHONDONTWRITEBYTECODE a
-stale or missing bytecode cache in one tree alone reads as a slower set-up.
+perfbench at its default length.  The order inside a pair alternates
+(base first on even pairs), so a slow stretch of a shared host falls on
+both trees alike.  Both trees are byte-compiled with ``compileall`` before
+any timing: perfbench counts the import of chebdens in ``setup_s``, and
+under PYTHONDONTWRITEBYTECODE a stale or missing bytecode cache in one
+tree alone reads as a slower set-up.
 
 The result goes to ``BENCH_<label>.json`` at the repository root: per
 workload and tree the median, first and third quartile (inclusive method)
 and the runs of the five end-to-end metrics, the number of pairs in which
-the working tree was better, the commits, the line counts of
-``src/chebdens/*.py`` and the machine perfbench reported.  Uses the
-standard library only.
+the working tree was better, the commits (the working tree counts as dirty
+when ``src/`` or ``perfbench/`` differ from HEAD, untracked files
+included), the line counts of ``src/chebdens/*.py`` and the machine
+perfbench reported.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -46,15 +47,10 @@ def _git(root: Path, *args: str) -> str:
 
 def _unpack(root: Path, rev: str, dest: Path) -> None:
     """Extract the committed files of ``rev`` into ``dest``."""
-    archive = dest / "rev.tar"
-    subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), rev], cwd=root,
-                   check=True)
-    with tarfile.open(archive) as tar:
-        if hasattr(tarfile, "data_filter"):
-            tar.extractall(dest / "tree", filter="data")
-        else:
-            tar.extractall(dest / "tree")
-    archive.unlink()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root, check=True,
+                             capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def _line_counts(tree: Path) -> dict[str, int]:
@@ -70,10 +66,10 @@ def _compile(tree: Path) -> None:
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
+def _run(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One perfbench run: its result line and the info block of its results file."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -97,26 +93,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--against", metavar="REV", help="base revision to alternate with")
     parser.add_argument("--seeds", type=int, default=5, help="runs per workload and tree")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=40, help="perfbench --seconds")
-    parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     args = parser.parse_args(argv)
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    names = WORKLOADS if args.workload == "all" else (args.workload,)
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
     with tempfile.TemporaryDirectory(prefix="chebdens-bench-") as tmp:
         trees = {"change": root}
         revs = {"change": {"commit": _git(root, "rev-parse", "HEAD"),
-                           "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no"))}}
+                           "dirty": bool(_git(root, "status", "--porcelain", "--", "src",
+                                              "perfbench"))}}
         if args.against:
-            _unpack(root, args.against, Path(tmp))
             trees["base"] = Path(tmp) / "tree"
+            _unpack(root, args.against, trees["base"])
             revs["base"] = {"commit": _git(root, "rev-parse", f"{args.against}^{{commit}}")}
         for tree in trees.values():
             _compile(tree)
-        machine: dict = {}
+        info: dict = {}
         workloads: dict = {}
-        for name in names:
+        for name in WORKLOADS:
             runs = {side: {metric: [] for metric in METRICS} for side in trees}
             failed = {side: 0 for side in trees}
             order = []
@@ -127,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                 order.append(sides)
                 for side in sides:
                     started = time.monotonic()
-                    result, info = _run(trees[side], name, seed, args.seconds)
-                    machine = machine or {key: info[key] for key in MACHINE_KEYS if key in info}
+                    result, info = _run(trees[side], name, seed)
                     failed[side] += result["failed"]
                     for metric in METRICS:
                         runs[side][metric].append(result["metrics"][metric]["value"])
@@ -147,10 +140,10 @@ def main(argv: list[str] | None = None) -> int:
             "label": args.label,
             "command": "python3 benchmarks/record.py " + " ".join(
                 argv if argv is not None else sys.argv[1:]),
-            "perfbench_seconds": args.seconds,
+            "perfbench_seconds": info["seconds"],
             "trees": {side: {**revs[side], "src_chebdens_lines": _line_counts(tree)}
                       for side, tree in trees.items()},
-            "machine": machine,
+            "machine": {key: info[key] for key in MACHINE_KEYS if key in info},
             "workloads": workloads,
         }
     out = root / f"BENCH_{args.label}.json"
