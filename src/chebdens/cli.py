@@ -113,13 +113,9 @@ def _scan_blocks(model, lo: int, hi: int, ramified: list[int]):
         splits = splitting.split_mask(model, primes).tolist()
         yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
         return
-    for block, counts in splitting._cycle_counts(model, primes):
-        index = np.zeros(block.size, dtype=np.int64)
-        for row in counts:  # index ranks the columns by their rows read so far
-            _, first, index = np.unique(index * (model.poly_degree + 1) + row,
-                                        return_index=True, return_inverse=True)
-        shapes = [[k for k, c in enumerate(col, 1) for _ in range(c)] for col in counts.T[first].tolist()]
-        yield block.tolist(), index.tolist(), [{"splits": s[-1] == 1, "cycle_type": s} for s in shapes]
+    for block, index, shapes in splitting._cycle_types(model, primes):
+        yield block.tolist(), index.tolist(), [
+            {"splits": s.degrees[-1] == 1, "cycle_type": list(s.degrees)} for s in shapes]
 
 
 #: Help text and record columns (in output order) of each scan command.

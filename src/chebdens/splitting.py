@@ -39,7 +39,11 @@ degree-k factors.  A prime p <= deg f (at most 2, 3, 5 and 7 for
 deg f <= 8) goes through the single-prime distinct-degree factorization
 instead.  A block runs in int64 when its largest prime is at most
 ``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
-the same functions on an ``object`` array of Python ints.
+the same functions on an ``object`` array of Python ints.  Apart from the
+excluded primes, which masks mark False, an array path raises at its first
+failing prime the error that the single-prime function raises there
+(``splits_completely`` for ``split_mask``, ``frobenius_cycle_type`` for
+cycle types): same type, same message.
 """
 
 from __future__ import annotations
@@ -107,12 +111,11 @@ def _divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    f, g = _trim(f[:]), _trim(g[:])
+    """Monic gcd of f and g over GF(p)."""
+    f, g = _monic(_trim(f), p), _monic(_trim(g), p)
     while g:
-        f, g = g, _rem(_monic(f, p), _monic(g, p), p)
-        g = _monic(g, p)
-        f = _monic(f, p)
-    return _monic(f, p)
+        f, g = g, _monic(_rem(f, g, p), p)
+    return f
 
 
 def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
@@ -382,33 +385,19 @@ class FrobeniusCycleType:
         return "{" + ",".join(str(d) for d in self.degrees) + "}"
 
 
-def _ramification_error(model: GaloisExtensionModel, p: int) -> Exception | None:
-    """The error to raise when p is excluded from the model or ramified in it, else None."""
+def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
+    """Raise if p is excluded from the model or ramified in it."""
     if isinstance(model, AbelianModel):
         if model.modulus > 1 and model.modulus % p == 0:
-            return RamifiedPrimeError(f"p={p} divides the modulus {model.modulus}")
-        return None
+            raise RamifiedPrimeError(f"p={p} divides the modulus {model.modulus}")
+        return
     if p in model.bad_primes:
-        return RamifiedPrimeError(f"p={p} is in the model's excluded prime set")
+        raise RamifiedPrimeError(f"p={p} is in the model's excluded prime set")
     # for monic f, f mod p is squarefree exactly when p does not divide disc f
     if model.discriminant % p == 0:
-        return InconsistencyError(
+        raise InconsistencyError(
             f"f mod {p} is not squarefree; the excluded prime set of the model is incomplete"
         )
-    return None
-
-
-def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
-    error = _ramification_error(model, p)
-    if error is not None:
-        raise error
-
-
-def _order_error(model: SplittingFieldModel, order: int, p: int) -> InconsistencyError:
-    return InconsistencyError(
-        f"observed Frobenius order {order} at p={p} does not divide "
-        f"galois_order={model.galois_order}; the supplied order is wrong"
-    )
 
 
 def splits_completely(model: GaloisExtensionModel, p: int) -> bool:
@@ -461,7 +450,10 @@ def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleTy
     if sum(ct.degrees) != deg:
         raise InconsistencyError(f"cycle type {ct} does not sum to deg f = {deg}")
     if model.galois_order % ct.element_order != 0:
-        raise _order_error(model, ct.element_order, p)
+        raise InconsistencyError(
+            f"observed Frobenius order {ct.element_order} at p={p} does not divide "
+            f"galois_order={model.galois_order}; the supplied order is wrong"
+        )
     return ct
 
 
@@ -526,10 +518,9 @@ class SplittingPredicate:
             model = self.models[0]
             out = np.isin(primes % model.modulus, sorted(self.target))
             return out & ~_bad_mask(self.bad_primes, primes)
-        model = self.models[0]
         keep = ~_bad_mask(self.bad_primes, primes)
-        target = np.bincount(self.target.degrees, minlength=model.poly_degree + 1)[1:, None]
-        hits = [(counts == target).all(axis=0) for _, counts in _cycle_counts(model, primes[keep])]
+        hits = [np.array([s == self.target for s in shapes], dtype=bool)[index]
+                for _, index, shapes in _cycle_types(self.models[0], primes[keep])]
         out = np.zeros(primes.shape, dtype=bool)
         out[keep] = np.concatenate(hits or [np.zeros(0, dtype=bool)])
         return out
@@ -700,10 +691,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_cycle_counts(
-    model: SplittingFieldModel, p: np.ndarray
-) -> tuple[np.ndarray, Exception | None, int]:
-    """Counts c_k (shape (n, B)) of one block, the first error and its column.
+def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.ndarray, int]:
+    """Counts c_k (shape (n, B)) of one block and the index of its first failing column.
 
     R(d) = sum_{k | d} k c_k, the number of roots of f in GF(p^d), is
     tr(Q^d) mod p: on a factor GF(p^k) of GF(p)[x]/(f) the Frobenius permutes
@@ -712,9 +701,8 @@ def _block_cycle_counts(
     j c_j of the proper divisors j of k (Moebius inversion).  A column with
     p <= n takes its degrees from ``_factor_degrees`` instead.
 
-    Every check of ``frobenius_cycle_type`` runs per column; the error is the
-    one that function raises at the first failing column, whose index is
-    returned (None and B if no column fails).
+    A column fails where ``frobenius_cycle_type`` would raise or where its
+    counts are no cycle type; the index is B if no column fails.
     """
     n = model.poly_degree
     q = np.zeros((n, n, p.size), dtype=p.dtype)  # row i: x^(ip) mod (f, p)
@@ -746,36 +734,36 @@ def _block_cycle_counts(
     # exactly when every factor degree does
     misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]
     fail = ramified | broken | (counts[misfit] > 0).any(axis=0)
-    if not fail.any():
-        return counts, None, p.size
-    j = int(fail.argmax())
-    prime = int(p[j])
-    error = _ramification_error(model, prime)
-    if error is None and broken[j]:
-        error = InvariantViolationError(
-            f"Frobenius traces {roots[:, j].tolist()} of f mod {prime} give no cycle type"
-        )
-    if error is None:
-        order = math.lcm(*(k for k, c in enumerate(counts[:, j].tolist(), 1) if c))
-        error = _order_error(model, order, prime)
-    return counts, error, j
+    return counts, int(fail.argmax()) if fail.any() else p.size
 
 
-def _cycle_counts(model: SplittingFieldModel, primes: np.ndarray):
-    """Factor-degree counts of f mod p over an array of primes, a block at a time.
+def _cycle_types(model: SplittingFieldModel, primes: np.ndarray):
+    """Frobenius cycle types of f mod p over an array of primes, a block at a time.
 
-    Yields ``(block, counts)`` for consecutive blocks of the array; column j
-    of ``counts`` holds c_1..c_n, the numbers of degree-k factors of f mod
-    block[j].  At the first prime where ``frobenius_cycle_type`` raises, the
-    columns before it are yielded and then the same error (type and message)
-    is raised.
+    Yields ``(block, index, shapes)`` for consecutive blocks of the array:
+    ``shapes`` are the block's distinct ``FrobeniusCycleType``s and block[i]
+    has the cycle type ``shapes[index[i]]``.  At the first prime where a
+    check fails, the primes before it are yielded and then
+    ``frobenius_cycle_type`` raises its own error at that prime; should it
+    return instead, the engine disagrees with it, an invariant violation.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    for start, p in _blocks(primes, model.poly_degree):
-        counts, error, j = _block_cycle_counts(model, p)
-        yield primes[start:start + j], counts[:, :j]
-        if error is not None:
-            raise error
+    n = model.poly_degree
+    for start, p in _blocks(primes, n):
+        counts, j = _block_cycle_counts(model, p)
+        # every c_k of a cycle type is at most n, so the digits c_k in base n + 1 name it
+        keys = (n + 1) ** np.arange(n) @ counts[:, :j]
+        _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+        shapes = [FrobeniusCycleType(tuple(k for k, c in enumerate(col, 1) for _ in range(c)))
+                  for col in counts[:, first].T.tolist()]
+        yield primes[start:start + j], index, shapes
+        if j < p.size:
+            prime = int(p[j])
+            truth = frobenius_cycle_type(model, prime)
+            raise InvariantViolationError(
+                f"the batched engine gives counts {counts[:, j].tolist()} at p={prime}, "
+                f"not the cycle type {truth}"
+            )
 
 
 def ramified_primes_in(

@@ -326,10 +326,9 @@ def _scan_records_per_prime(model, lo: int, hi: int):
     primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
     if isinstance(model, splitting.SplittingFieldModel):
         records = (
-            {"p": p, "splits": shape[-1] == 1, "cycle_type": shape}
-            for block, counts in splitting._cycle_counts(model, primes)
-            for p, shape in zip(block.tolist(), (
-                [k for k, c in enumerate(col, 1) for _ in range(c)] for col in counts.T.tolist()))
+            {"p": p, "splits": shapes[i].degrees[-1] == 1, "cycle_type": list(shapes[i].degrees)}
+            for block, index, shapes in splitting._cycle_types(model, primes)
+            for p, i in zip(block.tolist(), index.tolist())
         )
     else:
         splits = splitting.split_mask(model, primes).tolist()

@@ -206,8 +206,22 @@ class TestCycleTypes:
 
     def test_wrong_galois_order_diagnosed(self):
         lying = splitting_field_model((-2, 0, 0, 1), 3)  # claims degree 3, truly 6
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError) as scalar_error:
             frobenius_cycle_type(lying, 5)  # order-2 Frobenius does not divide 3
+        message = str(scalar_error.value)
+        assert message.startswith("observed Frobenius order 2 at p=5 does not divide galois_order=3")
+        primes = np.array([7, 13, 5, 11], dtype=np.int64)  # {3}, {3}, then {1,2}
+        with pytest.raises(InconsistencyError) as mask_error:
+            cycle_type_predicate(lying, (1, 2)).mask(primes)
+        seen, counts, error = _gathered_cycle_counts(lying, primes)
+        assert (type(error), str(error), str(mask_error.value)) == (InconsistencyError, message, message)
+        assert seen.tolist() == [7, 13] and counts.tolist() == [[0, 0], [0, 0], [1, 1]]
+        # a prime listed in bad_primes raises the scalar RamifiedPrimeError
+        with pytest.raises(RamifiedPrimeError) as ramified_error:
+            frobenius_cycle_type(lying, 3)
+        seen, counts, error = _gathered_cycle_counts(lying, np.array([7, 3, 13], dtype=np.int64))
+        assert (type(error), str(error)) == (RamifiedPrimeError, str(ramified_error.value))
+        assert seen.tolist() == [7]
 
     def test_ramified_prime_rejected(self):
         with pytest.raises(RamifiedPrimeError):
@@ -292,8 +306,8 @@ class TestPathAgreement:
         lambda model, p: split_mask(model, np.array([p], dtype=np.int64)),
         lambda model, p: splits_completely(model, p),
         lambda model, p: frobenius_cycle_type(model, p),
-        lambda model, p: list(splitting_mod._cycle_counts(model, np.array([p], dtype=np.int64))),
-    ], ids=["split_mask", "splits_completely", "frobenius_cycle_type", "cycle_counts"])
+        lambda model, p: list(splitting_mod._cycle_types(model, np.array([p], dtype=np.int64))),
+    ], ids=["split_mask", "splits_completely", "frobenius_cycle_type", "cycle_types"])
     def test_incomplete_bad_primes_raise(self, path):
         # disc(x^2 - 12) = 48, so 3 is ramified but missing from bad_primes
         model = splitting_field_model((-12, 0, 1), 2, bad_primes=[2])
@@ -330,15 +344,23 @@ def _primes_near(center: int, count: int) -> list[int]:
 
 
 def _gathered_cycle_counts(model, primes):
-    """The yields of ``_cycle_counts`` concatenated: (primes, counts, error raised or None)."""
+    """The yields of ``_cycle_types`` concatenated: (primes, counts, error raised or None).
+
+    Column j of ``counts`` holds c_1..c_n, the numbers of degree-k factors
+    of f mod the j-th prime, rebuilt from its cycle type.
+    """
     blocks, error = [], None
     try:
-        blocks.extend(splitting_mod._cycle_counts(model, primes))
+        blocks.extend(splitting_mod._cycle_types(model, primes))
     except (RamifiedPrimeError, InconsistencyError, InvariantViolationError) as exc:
         error = exc
     n = model.poly_degree
-    seen = np.concatenate([np.zeros(0, dtype=np.int64)] + [b for b, _ in blocks])
-    counts = np.concatenate([np.zeros((n, 0), dtype=np.int64)] + [c for _, c in blocks], axis=1)
+    for block, index, shapes in blocks:
+        assert len(index) == len(block) and len(set(shapes)) == len(shapes)
+    seen = np.concatenate([np.zeros(0, dtype=np.int64)] + [b for b, _, _ in blocks])
+    columns = [np.bincount(shapes[i].degrees, minlength=n + 1)[1:]
+               for _, index, shapes in blocks for i in index]
+    counts = np.array(columns, dtype=np.int64).reshape(-1, n).T
     return seen, counts, error
 
 
@@ -416,7 +438,8 @@ class TestBatchedEngineDifferential:
 
     def test_counts_that_are_no_cycle_type_raise(self, monkeypatch):
         # x^p zeroed in the column of p = 11 leaves Q = diag(1, 0, 0), whose
-        # traces claim one root of x^3 - 2 in every GF(11^d): no cycle type
+        # traces claim one root of x^3 - 2 in every GF(11^d): no cycle type,
+        # so the true one, {1,2}, comes from frobenius_cycle_type
         x_pow_p = splitting_mod._x_pow_p
 
         def corrupted(red, p):
@@ -428,7 +451,7 @@ class TestBatchedEngineDifferential:
         primes = np.array([5, 7, 11, 13, 17], dtype=np.int64)
         seen, counts, error = _gathered_cycle_counts(X3M2, primes)
         assert type(error) is InvariantViolationError
-        assert "f mod 11 give no cycle type" in str(error)
+        assert str(error) == "the batched engine gives counts [1, 0, 0] at p=11, not the cycle type {1,2}"
         assert seen.tolist() == [5, 7] and counts.tolist() == [[1, 0], [1, 0], [0, 1]]
 
     def test_binomial_only_mod_p(self):
