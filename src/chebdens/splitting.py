@@ -31,7 +31,9 @@ GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
 left-to-right ladder computes x^p mod (f, p), except when f is a binomial
 x^n - a modulo every prime of the block (as are x^2 + 1, x^3 - 2, x^4 + 2):
 then x^n = a in GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n),
-and only the power of a takes a ladder.  Cycle types come from traces:
+and only the power of a takes a ladder, which ``split_mask`` runs on the
+primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
+completely.  Cycle types come from traces:
 with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f), tr(Q^d)
 mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
 GF(p^d) whenever p > deg f, and Moebius inversion gives the counts c_k of
@@ -585,7 +587,11 @@ def _batch_limit(n: int) -> int:
 
     The largest sum the engine accumulates before a ``% p`` is n products of
     two residues, at most n*(p-1)^2, which must not exceed 2^63 - 1.  The
-    limit is below 2^32 for every n, as ``_mod_int`` needs.
+    limit is below 2^32 for every n, as ``_mod_int`` needs.  The ladder of a
+    binomial x^n - a reduces once per step, after c^2 * a, a product of up
+    to |a|*(p-1)^2 with a the signed residue; where that can pass 2^63 in an
+    int64 block, the step also reduces c^2 first, so no product passes
+    (p-1)^2.
     """
     return 1 + math.isqrt(((1 << 63) - 1) // n)
 
@@ -636,22 +642,40 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
     return out
 
 
+def _binomial(red: np.ndarray) -> bool:
+    """Whether f is x^n - a mod every prime of the block: x^n mod (f, p), ``red[0]``, is constant."""
+    return not red[0, 1:].any()
+
+
 def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
-    When f is x^n - a mod every prime of the block (``red[0]`` = x^n mod f is
-    the constant a), x^n = a in GF(p)[x]/(f), squarefree or not, so x^p is
-    the monomial a^(p // n) x^(p % n); only the power of a needs a ladder,
-    whose products stay below (p - 1)^2.
+    When f is x^n - a mod every prime of the block, x^n = a in
+    GF(p)[x]/(f), squarefree or not, so x^p is the monomial
+    a^(p // n) x^(p % n), and only the power of a needs a ladder.  Its
+    steps multiply c^2 by a where the bit is set and by 1 elsewhere; with a
+    taken as its signed residue, small when the coefficient is, one ``% p``
+    ends each step (see ``_batch_limit`` for the bound).  For p = 1 (mod n)
+    the monomial is a^((p - 1) / n) x, which is x exactly when a is an n-th
+    power residue mod p.
     """
     r = np.zeros(red.shape[1:], dtype=red.dtype)
     n = r.shape[0]
-    if not red[0, 1:].any():
-        a, e = red[0, 0], p // n
-        c = np.ones_like(p)
+    if _binomial(red):
+        a = np.where(2 * red[0, 0] > p, red[0, 0] - p, red[0, 0])
+        wide = p.dtype != object and int(abs(a).max()) * (int(p.max()) - 1) ** 2 >= 1 << 63
+        e, am1 = p // n, a - 1
+        c, m = np.ones_like(p), np.empty_like(p)
         for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            c = c * c % p
-            c = np.where(((e >> bit) & 1).astype(bool), c * a % p, c)
+            np.right_shift(e, bit, out=m)
+            m &= 1
+            m *= am1
+            m += 1  # a where the bit is set, 1 elsewhere
+            c *= c
+            if wide:
+                c %= p
+            c *= m
+            c %= p
         r[(p % n).astype(np.intp), np.arange(p.size)] = c
         return r
     r[0] = 1
@@ -662,7 +686,16 @@ def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
-    """Complete-splitting mask over an array of primes; excluded primes give False."""
+    """Complete-splitting mask over an array of primes; excluded primes give False.
+
+    On a block where f is a binomial x^n - a, an unramified p splits
+    completely only if p = 1 (mod n): the ratios of n distinct roots of
+    x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
+    it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
+    criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
+    ladder; the others are False without arithmetic.  The check for a
+    missing ramified prime runs on the whole block first.
+    """
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
         m = model.modulus
@@ -675,10 +708,15 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         missed = part & (_mod_int(model.discriminant, p) == 0)
         if missed.any():
             _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
-        if n > 1:
-            xp = _x_pow_p(_reduction_rows(model.poly, p), p)
+        if n == 1:
+            continue
+        red = _reduction_rows(model.poly, p)
+        if _binomial(red):
+            part &= p % n == 1
+        if part.any():
+            xp = _x_pow_p(red[:, :, part], p[part])
             # f | x^p - x, valid since f mod p is squarefree
-            part &= (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
+            part[part] = (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
     return mask
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: primality by
 trial division, a second (odd-only, bytearray) sieve, quadratic splitting by
-Euler's criterion, cubic splitting by the cubic-residue test, cycle types by
+Euler's criterion, cubic splitting by the cubic-residue test, binomial
+splitting by the n-th power residue criterion, cycle types by
 root counting, partitions by explicit recursive enumeration, tower counts by
 an exact linear search (and by 80-digit mpmath past exact powers), Weyl
 groups by a dict-keyed BFS and orbit loop, ``spl``/``frob`` output by one
@@ -62,6 +63,11 @@ def cubic_two_splits(p: int) -> bool:
     if p % 3 != 1:
         return False
     return pow(2, (p - 1) // 3, p) == 1
+
+
+def binomial_splits(a: int, n: int, p: int) -> bool:
+    """x^n - a splits completely mod p, for p not dividing n*a: p = 1 mod n and a an n-th power residue."""
+    return p % n == 1 and pow(a, (p - 1) // n, p) == 1
 
 
 def root_count(poly_ascending, p: int) -> int:

@@ -30,6 +30,7 @@ from chebdens import (
 )
 from chebdens.primes import PrimeRange, is_prime, sieve_primes
 from oracles import (
+    binomial_splits,
     brute_force_factor_degrees,
     cubic_two_splits,
     cycle_type_low_degree,
@@ -475,6 +476,74 @@ class TestBatchedEngineDifferential:
             assert (split_mask(model, primes) == mask).all()
         with pytest.raises(RuntimeError, match="_block_mulmod called"):
             split_mask(X5M1, primes_1e4)
+
+        # x^3 - 2 can split only at p = 1 (mod 3): 611 of the 1229 primes below 10^4
+        # reach the ladder, all of them in that class
+        received = []
+        x_pow_p = splitting_mod._x_pow_p
+
+        def recording(red, p):
+            received.extend(p.tolist())
+            return x_pow_p(red, p)
+
+        monkeypatch.setattr(splitting_mod, "_x_pow_p", recording)
+        assert (split_mask(X3M2, primes_1e4) == expected[0]).all()
+        assert len(received) == 611 and primes_1e4.size == 1229
+        assert received == [p for p in primes_1e4.tolist() if p % 3 == 1]
+
+    @given(
+        st.integers(2, 8),
+        st.one_of(st.integers(1, 10**7), st.integers(-10**7, -1)),
+        st.integers(2, 10**4 - 2000),
+        st.integers(1, 10**5),
+        st.integers(1, 10**5),
+    )
+    # |a| (p - 1)^2 passes 2^63 in the int64 block: the ladder also reduces after squaring
+    @example(3, 12, 2, 1, 1)
+    @example(8, -10**7, 2, 1, 1)
+    # it stays below 2^63: one reduction per step
+    @example(2, -1, 2, 1, 1)  # x^2 + 1
+    @example(8, -3, 2, 1, 1)  # x^8 + 3
+    @settings(max_examples=25, deadline=None)
+    def test_binomials_match_scalar_paths_and_residue_criterion(self, n, a, small, below, above):
+        """x^n - a on int64 and object blocks against the scalar code and ``binomial_splits``.
+
+        bad_primes is left empty, so the smallest prime q dividing n, which
+        divides disc f = +-n^n a^(n-1) and is not 1 (mod n), must raise the
+        scalar InconsistencyError from the middle of the array.
+        """
+        model = splitting_field_model((-a,) + (0,) * (n - 1) + (1,), math.factorial(n), bad_primes=[])
+        limit = splitting_mod._batch_limit(n)
+        primes = (_window_primes(small, 6) + _window_primes(limit - below, 3)
+                  + _window_primes(limit + above, 3))
+        whole = np.array([p for p in primes if (n * a) % p], dtype=np.int64)
+        truth = {p: (_counts_of(model, p), splits_completely(model, p)) for p in whole.tolist()}
+        q = next(d for d in (2, 3, 5, 7) if n % d == 0)
+        with pytest.raises(InconsistencyError) as scalar_error:
+            splits_completely(model, q)
+        for clean, dtype in ((whole, object), (whole[whole <= limit], np.int64)):
+            assert [p.dtype for _, p in splitting_mod._blocks(clean, n)] == [dtype]
+            seen, counts, error = _gathered_cycle_counts(model, clean)
+            assert error is None and seen.tolist() == clean.tolist()
+            mask = split_mask(model, clean)
+            for j, p in enumerate(clean.tolist()):
+                assert counts[:, j].tolist() == truth[p][0], (n, a, p)
+                assert bool(mask[j]) == truth[p][1] == binomial_splits(a, n, p), (n, a, p)
+            mixed = np.concatenate([clean[:2], [q], clean[2:]])
+            with pytest.raises(InconsistencyError) as mask_error:
+                split_mask(model, mixed)
+            assert str(mask_error.value) == str(scalar_error.value)
+
+    def test_ramified_prime_off_the_residue_class_raises(self):
+        # disc(x^3 - 12) = -2^4 3^5: 3 is ramified but missing from bad_primes, and
+        # 3 is not 1 (mod 3), so the binomial filter alone would mark it False
+        model = splitting_field_model((-12, 0, 0, 1), 6, bad_primes=[2])
+        with pytest.raises(InconsistencyError) as scalar_error:
+            splits_completely(model, 3)
+        for primes in ([3], [7, 13, 3, 19]):
+            with pytest.raises(InconsistencyError) as error:
+                split_mask(model, np.array(primes, dtype=np.int64))
+            assert str(error.value) == str(scalar_error.value)
 
 
 class TestPrimesBeyond2To32:
