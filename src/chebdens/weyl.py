@@ -20,7 +20,8 @@ counts from 2 * sum(d_i - 1), which checks the generated roots.  Class counts:
 
 A brute-force enumeration oracle (closure of the simple reflections, orbit
 partition under conjugation) cross-checks every table entry small enough to
-enumerate; the cap keeps E7/E8 out of its reach by default.
+enumerate; the cap keeps E7/E8 out of its reach by default, and a memory
+budget keeps E8 out at any cap.
 """
 
 from __future__ import annotations
@@ -300,48 +301,122 @@ def _row_keys(rows: np.ndarray, cols) -> np.ndarray:
     return block.view(np.dtype((np.void, width))).ravel()
 
 
-def _enumerate_arrays(data: RootSystemData, cap: int):
-    """BFS closure of the simple reflections under composition.
+#: Largest estimated size in bytes of the arrays one enumeration may allocate.
+_TABLE_BUDGET = 2**30
 
-    Returns (elements array of shape (w, nroots), key columns, generator
-    arrays).  Level k holds the elements of length k, in lexicographic
-    order of their rows.  Multiplying by a simple reflection changes the
-    length by exactly one, so a candidate from level k is new unless it
-    lies in level k - 1; rows are compared by their simple-root columns.
+
+class _CayleyTables(NamedTuple):
+    """The BFS of the simple reflections, kept as index tables.
+
+    Element 0 is the identity, and level k (indices ``starts[k]`` to
+    ``starts[k + 1]``) holds the elements of length k.  ``left[i, v]`` is
+    the index of s_i·v, and every v > 0 is s_j·u for j = ``gen[v]`` and
+    u = ``parent[v]``, an element of the level before.
     """
-    if data.w > cap:
+
+    perms: np.ndarray
+    left: np.ndarray
+    parent: np.ndarray
+    gen: np.ndarray
+    starts: list[int]
+
+
+def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _CayleyTables:
+    """BFS closure of the simple reflections by left multiplication.
+
+    A Weyl element is the linear map fixed by its images of the simple
+    roots, its key, and the key of s_i·v is ``perms[i][key(v)]``, so only
+    the keys of the current level are kept.  Every s_i is an involution
+    that changes the length by exactly one, so a new element u = s_i·v
+    sets both ``left[i, v]`` and ``left[i, u]``.  Once a level is built,
+    the entries of ``left`` still unset on it are exactly the products
+    that lie in the next level.
+
+    Raises ResourceLimitError when the group order exceeds ``cap`` or the
+    tables, plus ``row_bytes`` per element for the caller, would exceed
+    ``_TABLE_BUDGET``; InvariantViolationError, before any write past the
+    tables, when the closure does not have exactly ``data.w`` elements.
+    """
+    w, rank = data.w, data.d
+    if w > cap:
         raise ResourceLimitError(
-            f"{data.type}: group order {data.w} exceeds the enumeration cap {cap}; "
+            f"{data.type}: group order {w} exceeds the enumeration cap {cap}; "
             "use the table constants from constants_for_group"
         )
-    nroots = len(data.roots)
-    dtype = _perm_dtype(nroots)
-    # a Weyl element is the linear map fixed by its images of the simple
-    # roots, so the simple roots' columns of a row identify the element
-    cols = [data.roots.index(alpha) for alpha in data.simple_roots]
-    gens = [np.array(g, dtype=dtype) for g in simple_reflection_perms(data)]
-    frontier = np.arange(nroots, dtype=dtype)[np.newaxis, :]
-    levels = [frontier]
-    previous_keys = _row_keys(frontier[:0], cols)
-    count = 1
-    while frontier.shape[0]:
-        candidates = np.concatenate([frontier[:, g] for g in gens], axis=0)
-        keys, first = np.unique(_row_keys(candidates, cols), return_index=True)
-        fresh = candidates[first[~np.isin(keys, previous_keys, assume_unique=True)]]
-        previous_keys = _row_keys(frontier, cols)
-        # rows are uint8 (at most 240 roots): byte order is lexicographic order
-        row_bytes = fresh.view(np.dtype((np.void, fresh.itemsize * nroots))).ravel()
-        frontier = fresh[np.argsort(row_bytes)]
-        levels.append(frontier)
-        count += frontier.shape[0]
-        if count > data.w:
-            break
-    stacked = np.concatenate(levels)
-    if stacked.shape[0] != data.w:
-        raise InvariantViolationError(
-            f"{data.type}: enumerated {stacked.shape[0]} elements, expected w = {data.w}"
+    # int32 left, parent and conjugates, uint8 gen, and five int32 arrays
+    # at the peak of _orbit_count
+    need = w * (4 * rank + 29 + row_bytes)
+    if need > _TABLE_BUDGET:
+        raise ResourceLimitError(
+            f"{data.type}: enumerating {w} elements needs about {need} bytes, "
+            f"over the budget of {_TABLE_BUDGET}; use the table constants from constants_for_group"
         )
-    return stacked, cols, gens
+    dtype = _perm_dtype(len(data.roots))
+    perms = np.array(simple_reflection_perms(data), dtype=dtype)
+    left = np.full((rank, w), -1, dtype=np.int32)
+    parent = np.zeros(w, dtype=np.int32)
+    gen = np.zeros(w, dtype=np.uint8)
+    keys = np.array([[data.roots.index(alpha) for alpha in data.simple_roots]], dtype=dtype)
+    starts = [0, 1]
+    while keys.shape[0]:
+        lo, hi = starts[-2], starts[-1]
+        gi, offset = np.nonzero(left[:, lo:hi] < 0)
+        # gi is sorted, so each generator's candidates are one run
+        runs = np.split(offset, np.searchsorted(gi, np.arange(1, rank)))
+        candidates = np.concatenate([p.take(keys[o], axis=0) for p, o in zip(perms, runs)])
+        _, first, inverse = np.unique(
+            _row_keys(candidates, slice(None)), return_index=True, return_inverse=True
+        )
+        end = hi + first.shape[0]
+        if end > w:
+            raise InvariantViolationError(
+                f"{data.type}: enumerated at least {end} elements, expected w = {w}"
+            )
+        src, dst = offset + lo, inverse + hi
+        left[gi, src] = dst
+        left[gi, dst] = src
+        parent[hi:end] = src[first]
+        gen[hi:end] = gi[first]
+        keys = candidates[first]
+        starts.append(end)
+    starts.pop()  # the empty level past the longest element
+    if starts[-1] != w:
+        raise InvariantViolationError(
+            f"{data.type}: enumerated {starts[-1]} elements, expected w = {w}"
+        )
+    return _CayleyTables(perms, left, parent, gen, starts)
+
+
+def _bfs_rows(tables: _CayleyTables) -> np.ndarray:
+    """Every element as its row of root images, in BFS index order."""
+    perms, _, parent, gen, starts = tables
+    rows = np.empty((starts[-1], perms.shape[1]), dtype=perms.dtype)
+    rows[0] = np.arange(perms.shape[1])
+    for lo, hi in zip(starts[1:-1], starts[2:]):
+        rows[lo:hi] = perms[gen[lo:hi, np.newaxis], rows[parent[lo:hi]]]
+    return rows
+
+
+def _table_conjugates(tables: _CayleyTables):
+    """For each generator s_i in turn, the index of s_i·v·s_i for every element v.
+
+    Right multiplication comes level by level from the left table: for
+    v = s_j·u, v·s_i = s_j·(u·s_i), starting from the identity times s_i.
+    Every generator's conjugates are yielded in one array, refilled when
+    the next generator is asked for.
+    """
+    _, left, parent, gen, starts = tables
+    levels = list(zip(starts, starts[1:]))
+    right = np.empty(starts[-1], dtype=np.int32)
+    for i in range(left.shape[0]):
+        right[0] = left[i, 0]
+        for lo, hi in levels[1:]:
+            right[lo:hi] = left[gen[lo:hi], right[parent[lo:hi]]]
+        # then s_i·(v·s_i), a level at a time: a gather converts its whole
+        # index array to intp
+        for lo, hi in levels:
+            right[lo:hi] = left[i, right[lo:hi]]
+        yield right
 
 
 def enumerate_weyl_group(
@@ -349,63 +424,87 @@ def enumerate_weyl_group(
 ) -> list[tuple[int, ...]]:
     """All Weyl group elements as permutations of the root list (oracle).
 
-    Raises ResourceLimitError when the group order exceeds ``cap``.
+    Elements come by length, and within a length in lexicographic order of
+    their rows.  The rows are rebuilt from the BFS parents of the keys-only
+    enumeration (see ``enumerated_constants``).  Raises ResourceLimitError
+    when the group order exceeds ``cap`` or the rows would exceed the
+    memory budget.
     """
     data = _as_data(system)
-    stacked, _, _ = _enumerate_arrays(data, cap)
-    return list(map(tuple, stacked.tolist()))
+    # per element: its uint8 row, a tuple of nroots ints (56 + 8·nroots
+    # bytes) and a list slot
+    tables = _cayley_tables(data, cap, row_bytes=64 + 9 * len(data.roots))
+    rows = _bfs_rows(tables)
+    # rows are uint8 (at most 240 roots): byte order is lexicographic order
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    elements: list[tuple[int, ...]] = []
+    for lo, hi in zip(tables.starts, tables.starts[1:]):
+        level = rows[lo:hi][np.argsort(row_bytes[lo:hi])]
+        elements.extend(map(tuple, level.tolist()))
+    return elements
 
 
-def _orbit_count(arr: np.ndarray, cols, gens: Sequence[np.ndarray]) -> int:
-    """Number of orbits of the rows of ``arr`` under conjugation by ``gens``.
+def _orbit_count(size: int, targets) -> int:
+    """Number of connected components of the maps v -> target[v] on range(size).
 
-    Rows are matched by their entries in the columns ``cols``, which must
-    tell the rows apart.  Conjugation by each generator maps every row to a
-    row index (InconsistencyError if a conjugate is not a row).  The orbits
-    are the connected components of these maps, kept as a forest in which
-    every row points at the least row of its component: each generator's
-    edges hook the larger of two differing roots under the smaller one,
-    and pointer jumping flattens the forest again.
+    ``targets`` yields one index array per map.  The components are kept
+    as a forest in which every index points at the least index of its
+    component: each map's edges hook the larger of two differing roots
+    under the smaller one, and pointer jumping flattens the forest again.
     """
-    keys = _row_keys(arr, cols)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    last = max(arr.shape[0] - 1, 0)
-    parent = np.arange(arr.shape[0])
-    for g in gens:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=g.dtype)
-        # column c of g^-1 x g is inv[x[g[c]]]; map the values in row blocks,
-        # since indexing converts the whole index array to intp
-        conjugates = arr[:, g[cols]]
-        for lo in range(0, conjugates.shape[0], _ROW_BLOCK):
-            block = conjugates[lo:lo + _ROW_BLOCK]
-            block[...] = inv[block]
-        conjugate_keys = _row_keys(conjugates, slice(None))
-        pos = np.minimum(np.searchsorted(sorted_keys, conjugate_keys), last)
-        found = sorted_keys[pos] == conjugate_keys
-        if not found.all():
-            i = int(np.argmin(found))
-            row = tuple(int(v) for v in inv[arr[i, g]])
-            raise InconsistencyError(
-                f"the conjugate {row} of element {i} is not among the elements; "
-                "the set is not closed under conjugation by the generators"
-            )
-        target = order[pos]
+    parent = np.arange(size, dtype=np.int32)
+    for target in targets:
         while True:
-            here, there = parent, parent[target]
-            differ = here != there
+            there = parent[target]
+            differ = parent != there
             if not differ.any():
                 break
-            np.minimum.at(
-                parent, np.maximum(here, there)[differ], np.minimum(here, there)[differ]
-            )
+            here, there = parent[differ], there[differ]
+            larger = np.maximum(here, there)
+            np.minimum.at(parent, larger, np.minimum(here, there, out=here))
+            del here, there, larger  # E7's peak is here: free before the next gather
             while True:
                 jumped = parent[parent]
                 if np.array_equal(jumped, parent):
                     break
                 parent = jumped
-    return int(np.count_nonzero(parent == np.arange(arr.shape[0])))
+    return int(np.count_nonzero(parent == np.arange(size, dtype=np.int32)))
+
+
+def _searched_conjugates(arr: np.ndarray, gens: Sequence[np.ndarray]):
+    """For each generator g in turn, the row index of g^-1·x·g for every row x.
+
+    Rows are searched by their first 8 bytes, one uint64, when those tell
+    the rows apart, and by all their bytes otherwise.  Each match is then
+    checked on the whole row (InconsistencyError if a conjugate is not a
+    row).
+    """
+    for cols in (slice(0, 8 // arr.itemsize), slice(None)):
+        keys = _row_keys(arr, cols)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if not (sorted_keys[1:] == sorted_keys[:-1]).any():
+            break
+    last = max(arr.shape[0] - 1, 0)
+    for g in gens:
+        inv = np.empty_like(g)
+        inv[g] = np.arange(len(g), dtype=g.dtype)
+        # column c of g^-1 x g is inv[x[g[c]]]; map the values in row blocks,
+        # since indexing converts the whole index array to intp
+        conjugates = arr[:, g]
+        for lo in range(0, conjugates.shape[0], _ROW_BLOCK):
+            block = conjugates[lo:lo + _ROW_BLOCK]
+            block[...] = inv[block]
+        target = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(conjugates, cols)), last)]
+        found = (arr[target] == conjugates).all(axis=1)
+        if not found.all():
+            i = int(np.argmin(found))
+            row = tuple(int(v) for v in conjugates[i])
+            raise InconsistencyError(
+                f"the conjugate {row} of element {i} is not among the elements; "
+                "the set is not closed under conjugation by the generators"
+            )
+        yield target
 
 
 def conjugacy_class_count(
@@ -417,16 +516,24 @@ def conjugacy_class_count(
     For a group, any generating set gives the class count: a few generators
     are fast, and the elements themselves are correct but slow.
     """
-    arr = np.asarray(elements)
-    dtype = _perm_dtype(arr.shape[1])
-    arr = arr.astype(dtype)
-    return _orbit_count(arr, slice(None), [np.asarray(g, dtype=dtype) for g in generators])
+    dtype = _perm_dtype(len(elements[0]))
+    arr = np.asarray(elements, dtype=dtype)
+    gens = [np.asarray(g, dtype=dtype) for g in generators]
+    return _orbit_count(arr.shape[0], _searched_conjugates(arr, gens))
 
 
 def enumerated_constants(
     system: RootSystemData | RootSystemType | str, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, int]:
-    """(group order, class count) measured by brute force, for cross-checking."""
+    """(group order, class count) measured by brute force, for cross-checking.
+
+    The BFS runs on keys, the images of the simple roots, and keeps the
+    Cayley table of left multiplication by each simple reflection; the
+    conjugates s_i·v·s_i are then index gathers in that table, with no
+    full rows and no key search.  E7 is in reach with ``cap`` at least its
+    order 2 903 040; E8 exceeds the memory budget at any cap.  Raises
+    ResourceLimitError past ``cap`` or the budget.
+    """
     data = _as_data(system)
-    stacked, cols, gens = _enumerate_arrays(data, cap)
-    return stacked.shape[0], _orbit_count(stacked, cols, gens)
+    tables = _cayley_tables(data, cap)
+    return data.w, _orbit_count(data.w, _table_conjugates(tables))

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from chebdens import (
 )
 from chebdens import weyl
 from oracles import class_count_by_dict, partitions_by_enumeration, weyl_by_dict_bfs
+
+DEFAULT_CAP = weyl.DEFAULT_ENUMERATION_CAP
 
 # every irreducible type whose Weyl group has at most 60 000 elements
 _CANDIDATE_TYPES = (
@@ -185,11 +189,54 @@ class TestEnumeration:
         elements = enumerate_weyl_group(data)
         gens = simple_reflection_perms(data)
         assert conjugacy_class_count(elements, gens) == 10
-        # enumerated_constants shares the orbit routine but reuses its own index
-        for label in ("A3", "B3", "D4", "G2"):
-            data = build_root_system(label)
-            count = conjugacy_class_count(enumerate_weyl_group(data), simple_reflection_perms(data))
-            assert enumerated_constants(label)[1] == count
+
+    @pytest.mark.parametrize("label", [
+        "A3", "B3", "D4", "G2", "F4", "D5",
+        # rank 8: keys of exactly 8 bytes; 362 880 elements, c = p(9) = 30
+        pytest.param("A8", marks=pytest.mark.slow),
+    ])
+    def test_key_search_count_matches_tables(self, label):
+        # conjugacy_class_count searches rows by key; enumerated_constants
+        # reads the conjugates off its Cayley tables
+        data = build_root_system(label)
+        count = conjugacy_class_count(enumerate_weyl_group(data), simple_reflection_perms(data))
+        assert enumerated_constants(data)[1] == count == data.c
+
+
+class TestCayleyTables:
+    """The index tables of the keys-only BFS against full rows and key search."""
+
+    @pytest.mark.parametrize("label", ["A1", "G2", "B3", "D4", "F4", "A6", "E6"])
+    def test_left_is_a_fixed_point_free_involution_across_levels(self, label):
+        tables = weyl._cayley_tables(build_root_system(label), DEFAULT_CAP)
+        size = tables.starts[-1]
+        level = np.repeat(np.arange(len(tables.starts) - 1), np.diff(tables.starts))
+        index = np.arange(size)
+        for row in tables.left:
+            assert row.min() >= 0
+            assert (row[row] == index).all()
+            assert (row != index).all()
+            assert (np.abs(level[row] - level) == 1).all()
+
+    @pytest.mark.parametrize("label", ["B3", "D4", "F4", "A6"])
+    def test_table_conjugates_match_key_search(self, label):
+        tables = weyl._cayley_tables(build_root_system(label), DEFAULT_CAP)
+        rows = weyl._bfs_rows(tables)
+        assert len({row.tobytes() for row in rows}) == rows.shape[0]
+        searched = weyl._searched_conjugates(rows, list(tables.perms))
+        # the table routine refills one array, so compare before asking for the next
+        for from_tables, from_search in zip(weyl._table_conjugates(tables), searched):
+            assert np.array_equal(from_tables, from_search)
+
+    def test_rows_follow_from_parents(self):
+        data = build_root_system("F4")
+        tables = weyl._cayley_tables(data, DEFAULT_CAP)
+        rows = weyl._bfs_rows(tables)
+        # row v is s_gen[v] applied to the row of parent[v], and left agrees
+        for v in range(1, rows.shape[0]):
+            j, u = tables.gen[v], tables.parent[v]
+            assert tables.left[j, u] == v
+            assert (rows[v] == tables.perms[j][rows[u]]).all()
 
 
 class TestEnumerationOracle:
@@ -235,6 +282,25 @@ class TestTypedErrors:
         with pytest.raises(InvariantViolationError, match="expected w ="):
             enumerated_constants(wrong)
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_element_count_invariant_before_rows(self, delta):
+        data = build_root_system("D4")
+        wrong = dataclasses.replace(data, w=data.w + delta)
+        with pytest.raises(InvariantViolationError, match=f"expected w = {data.w + delta}$"):
+            enumerate_weyl_group(wrong)
+
+    @pytest.mark.parametrize("label,cap", [("E8", 10**9), ("E8", 10**30), ("A10", 10**8)])
+    def test_memory_budget_refuses_before_allocating(self, label, cap):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="over the budget"):
+            enumerated_constants(label, cap=cap)
+        assert time.perf_counter() - start <= 1.0
+
+    def test_rows_count_against_the_budget(self):
+        # E7's tables fit the budget, but not its 2.9 million tuples of 126 ints
+        with pytest.raises(ResourceLimitError, match="over the budget"):
+            enumerate_weyl_group("E7", cap=3 * 10**6)
+
 
 @pytest.mark.slow
 class TestLargeEnumeration:
@@ -243,3 +309,17 @@ class TestLargeEnumeration:
 
     def test_e6(self):
         assert enumerated_constants("E6") == (51840, 25)
+
+    def test_e7_in_time_and_memory(self):
+        # the table class count 60 (Carter 1972) gets a brute-force check
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            constants = enumerated_constants("E7", cap=3 * 10**6)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert constants == (2903040, 60)
+        assert seconds <= 10.0
+        assert peak <= 200 * 2**20
