@@ -291,10 +291,17 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("label,cap", [("E8", 10**9), ("E8", 10**30), ("A10", 10**8)])
     def test_memory_budget_refuses_before_allocating(self, label, cap):
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="over the budget"):
-            enumerated_constants(label, cap=cap)
-        assert time.perf_counter() - start <= 1.0
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match="over the budget"):
+                enumerated_constants(label, cap=cap)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds <= 1.0
+        assert peak <= 10 * 2**20
 
     def test_rows_count_against_the_budget(self):
         # E7's tables fit the budget, but not its 2.9 million tuples of 126 ints
