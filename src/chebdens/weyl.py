@@ -301,7 +301,8 @@ def _row_keys(rows: np.ndarray, cols) -> np.ndarray:
     return block.view(np.dtype((np.void, width))).ravel()
 
 
-#: Largest estimated size in bytes of the arrays one enumeration may allocate.
+#: Largest estimated size in bytes of the persistent arrays of one enumeration
+#: (the per-level and per-gather temporaries are not counted).
 _TABLE_BUDGET = 2**30
 
 
@@ -332,10 +333,14 @@ def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _Cayle
     the entries of ``left`` still unset on it are exactly the products
     that lie in the next level.
 
-    Raises ResourceLimitError when the group order exceeds ``cap`` or the
-    tables, plus ``row_bytes`` per element for the caller, would exceed
-    ``_TABLE_BUDGET``; InvariantViolationError, before any write past the
-    tables, when the closure does not have exactly ``data.w`` elements.
+    Raises ResourceLimitError, before any allocation, when the group order
+    exceeds ``cap`` or the estimated persistent tables, plus ``row_bytes``
+    per element for the caller, exceed ``_TABLE_BUDGET``.  The estimate
+    leaves out the temporaries of one BFS level or one gather (candidate
+    keys, ``np.unique``'s int64 arrays, intp index arrays), so the peak can
+    pass the budget by those.  Raises InvariantViolationError, before any
+    write past the tables, when the closure does not have exactly
+    ``data.w`` elements.
     """
     w, rank = data.w, data.d
     if w > cap:
@@ -402,8 +407,11 @@ def _table_conjugates(tables: _CayleyTables):
 
     Right multiplication comes level by level from the left table: for
     v = s_j·u, v·s_i = s_j·(u·s_i), starting from the identity times s_i.
-    Every generator's conjugates are yielded in one array, refilled when
-    the next generator is asked for.
+    Every generator's conjugates are yielded in the same int32 array, which
+    is overwritten when the next generator is asked for: a yielded array is
+    valid only until the next iteration, so ``list()`` or a buffering
+    ``zip`` of this generator sees the last generator's conjugates n times.
+    One array at a time is what keeps E7 under its memory bound.
     """
     _, left, parent, gen, starts = tables
     levels = list(zip(starts, starts[1:]))
@@ -447,7 +455,9 @@ def enumerate_weyl_group(
 def _orbit_count(size: int, targets) -> int:
     """Number of connected components of the maps v -> target[v] on range(size).
 
-    ``targets`` yields one index array per map.  The components are kept
+    ``targets`` yields one index array per map; each is used up before the
+    next is asked for, so a generator may refill one array (see
+    ``_table_conjugates``).  The components are kept
     as a forest in which every index points at the least index of its
     component: each map's edges hook the larger of two differing roots
     under the smaller one, and pointer jumping flattens the forest again.
@@ -474,17 +484,12 @@ def _orbit_count(size: int, targets) -> int:
 def _searched_conjugates(arr: np.ndarray, gens: Sequence[np.ndarray]):
     """For each generator g in turn, the row index of g^-1·x·g for every row x.
 
-    Rows are searched by their first 8 bytes, one uint64, when those tell
-    the rows apart, and by all their bytes otherwise.  Each match is then
-    checked on the whole row (InconsistencyError if a conjugate is not a
-    row).
+    Rows are searched by all their bytes (InconsistencyError if a conjugate
+    is not a row).
     """
-    for cols in (slice(0, 8 // arr.itemsize), slice(None)):
-        keys = _row_keys(arr, cols)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        if not (sorted_keys[1:] == sorted_keys[:-1]).any():
-            break
+    keys = _row_keys(arr, slice(None))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     last = max(arr.shape[0] - 1, 0)
     for g in gens:
         inv = np.empty_like(g)
@@ -495,8 +500,9 @@ def _searched_conjugates(arr: np.ndarray, gens: Sequence[np.ndarray]):
         for lo in range(0, conjugates.shape[0], _ROW_BLOCK):
             block = conjugates[lo:lo + _ROW_BLOCK]
             block[...] = inv[block]
-        target = order[np.minimum(np.searchsorted(sorted_keys, _row_keys(conjugates, cols)), last)]
-        found = (arr[target] == conjugates).all(axis=1)
+        conjugate_keys = _row_keys(conjugates, slice(None))
+        pos = np.minimum(np.searchsorted(sorted_keys, conjugate_keys), last)
+        found = sorted_keys[pos] == conjugate_keys
         if not found.all():
             i = int(np.argmin(found))
             row = tuple(int(v) for v in conjugates[i])
@@ -504,7 +510,7 @@ def _searched_conjugates(arr: np.ndarray, gens: Sequence[np.ndarray]):
                 f"the conjugate {row} of element {i} is not among the elements; "
                 "the set is not closed under conjugation by the generators"
             )
-        yield target
+        yield order[pos]
 
 
 def conjugacy_class_count(
