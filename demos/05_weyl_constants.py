@@ -4,8 +4,9 @@ Weyl group constants, tabulated and brute-forced
 
 Each irreducible type carries a rank d, a Weyl group order w (the product
 of the invariant degrees) and a conjugacy-class count c.  For groups small
-enough, the enumeration oracle rebuilds the group as permutations of the
-root list and partitions it into classes, confirming the table entries.
+enough, the enumeration oracle builds the group by a breadth-first search of
+the simple reflections and partitions it into classes, confirming the table
+entries.
 """
 
 from chebdens import constants_for_group, enumerated_constants, invariant_degrees, parse_type

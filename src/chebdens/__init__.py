@@ -77,8 +77,6 @@ from .weyl import (
     build_root_system,
     class_count,
     constants_for_group,
-    conjugacy_class_count,
-    enumerate_weyl_group,
     enumerated_constants,
     invariant_degrees,
     parse_type,

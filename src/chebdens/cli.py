@@ -254,16 +254,17 @@ def _cmd_calculus(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    constants = weyl.constants_for_group(args.type)
+    rst_type = weyl.parse_type(args.type)
+    constants = weyl.constants_for_group(rst_type)
     payload = {
-        "type": str(weyl.parse_type(args.type)),
+        "type": str(rst_type),
         "d": constants.d,
         "w": constants.w,
         "c": constants.c,
-        "degrees": list(weyl.invariant_degrees(weyl.parse_type(args.type))),
+        "degrees": list(weyl.invariant_degrees(rst_type)),
     }
     if args.enumerate:
-        order, classes = weyl.enumerated_constants(args.type, cap=args.cap)
+        order, classes = weyl.enumerated_constants(rst_type, cap=args.cap)
         payload["enumerated"] = {"w": order, "c": classes}
     _emit_json(payload)
     return 0

@@ -4,8 +4,7 @@ Each system is realized with exact integer coordinates in a standard ambient
 lattice; systems whose textbook realization uses half-integers (E and F
 families) are scaled by 2, which changes nothing about the Weyl group.  The
 full root set is generated as the closure of the simple roots under the
-simple reflections, and group elements are represented as permutations of
-the root list.
+simple reflections, which act as permutations of the root list.
 
 Group orders come from the product of the invariant degrees d_i, and root
 counts from 2 * sum(d_i - 1), which checks the generated roots.  Class counts:
@@ -18,8 +17,9 @@ counts from 2 * sum(d_i - 1), which checks the generated roots.  Class counts:
   (such classes split in the index-2 subgroup);
 * exceptional types: fixed table (G2: 6, F4: 25, E6: 25, E7: 60, E8: 112).
 
-A brute-force enumeration oracle (closure of the simple reflections, orbit
-partition under conjugation) cross-checks every table entry small enough to
+A brute-force enumeration oracle (BFS closure of the simple reflections on
+the images of the simple roots, orbit partition under conjugation by index
+gathers in its Cayley table) cross-checks every table entry small enough to
 enumerate; the cap keeps E7/E8 out of its reach by default, and a memory
 budget keeps E8 out at any cap.
 """
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, InvariantViolationError, ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError
 
 #: Largest group order the enumeration oracle will attempt by default.
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -276,29 +276,20 @@ def simple_reflection_perms(data: RootSystemData) -> list[tuple[int, ...]]:
     return perms
 
 
-def _perm_dtype(nroots: int):
-    return np.uint8 if nroots <= 255 else np.uint16
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a C-contiguous array: the bytes of the row.
 
-
-#: Rows per block when a permutation is applied to the values of many rows.
-_ROW_BLOCK = 4096
-
-
-def _row_keys(rows: np.ndarray, cols) -> np.ndarray:
-    """One key per row: the bytes of its entries in the columns ``cols``.
-
-    Keys of at most 8 bytes (the simple-root columns of every root system)
-    are packed into uint64, which numpy sorts and searches several times
-    faster; wider keys are ``np.void`` views.  Only equality of keys is
-    used, not their order.
+    Keys of at most 8 bytes (rank at most 8 with uint8 entries) are packed
+    into uint64, which numpy sorts several times faster; wider keys, such
+    as A9's 9 bytes, are ``np.void`` views.  Only equality of keys is used,
+    not their order.
     """
-    block = np.ascontiguousarray(rows[:, cols])
-    width = block.shape[1] * block.itemsize
+    width = rows.shape[1] * rows.itemsize
     if width <= 8:
-        packed = np.zeros((block.shape[0], 8), dtype=np.uint8)
-        packed[:, :width] = block.view(np.uint8)
+        packed = np.zeros((rows.shape[0], 8), dtype=np.uint8)
+        packed[:, :width] = rows.view(np.uint8)
         return packed.view(np.uint64).ravel()
-    return block.view(np.dtype((np.void, width))).ravel()
+    return rows.view(np.dtype((np.void, width))).ravel()
 
 
 #: Largest estimated size in bytes of the persistent arrays of one enumeration
@@ -322,7 +313,7 @@ class _CayleyTables(NamedTuple):
     starts: list[int]
 
 
-def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _CayleyTables:
+def _cayley_tables(data: RootSystemData, cap: int) -> _CayleyTables:
     """BFS closure of the simple reflections by left multiplication.
 
     A Weyl element is the linear map fixed by its images of the simple
@@ -334,13 +325,12 @@ def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _Cayle
     that lie in the next level.
 
     Raises ResourceLimitError, before any allocation, when the group order
-    exceeds ``cap`` or the estimated persistent tables, plus ``row_bytes``
-    per element for the caller, exceed ``_TABLE_BUDGET``.  The estimate
-    leaves out the temporaries of one BFS level or one gather (candidate
-    keys, ``np.unique``'s int64 arrays, intp index arrays), so the peak can
-    pass the budget by those.  Raises InvariantViolationError, before any
-    write past the tables, when the closure does not have exactly
-    ``data.w`` elements.
+    exceeds ``cap`` or the estimated persistent tables exceed
+    ``_TABLE_BUDGET``.  The estimate leaves out the temporaries of one BFS
+    level or one gather (candidate keys, ``np.unique``'s int64 arrays, intp
+    index arrays), so the peak can pass the budget by those.  Raises
+    InvariantViolationError, before any write past the tables, when the
+    closure does not have exactly ``data.w`` elements.
     """
     w, rank = data.w, data.d
     if w > cap:
@@ -350,13 +340,13 @@ def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _Cayle
         )
     # int32 left, parent and conjugates, uint8 gen, and five int32 arrays
     # at the peak of _orbit_count
-    need = w * (4 * rank + 29 + row_bytes)
+    need = w * (4 * rank + 29)
     if need > _TABLE_BUDGET:
         raise ResourceLimitError(
             f"{data.type}: enumerating {w} elements needs about {need} bytes, "
             f"over the budget of {_TABLE_BUDGET}; use the table constants from constants_for_group"
         )
-    dtype = _perm_dtype(len(data.roots))
+    dtype = np.uint8 if len(data.roots) <= 255 else np.uint16
     perms = np.array(simple_reflection_perms(data), dtype=dtype)
     left = np.full((rank, w), -1, dtype=np.int32)
     parent = np.zeros(w, dtype=np.int32)
@@ -370,7 +360,7 @@ def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _Cayle
         runs = np.split(offset, np.searchsorted(gi, np.arange(1, rank)))
         candidates = np.concatenate([p.take(keys[o], axis=0) for p, o in zip(perms, runs)])
         _, first, inverse = np.unique(
-            _row_keys(candidates, slice(None)), return_index=True, return_inverse=True
+            _row_keys(candidates), return_index=True, return_inverse=True
         )
         end = hi + first.shape[0]
         if end > w:
@@ -390,16 +380,6 @@ def _cayley_tables(data: RootSystemData, cap: int, row_bytes: int = 0) -> _Cayle
             f"{data.type}: enumerated {starts[-1]} elements, expected w = {w}"
         )
     return _CayleyTables(perms, left, parent, gen, starts)
-
-
-def _bfs_rows(tables: _CayleyTables) -> np.ndarray:
-    """Every element as its row of root images, in BFS index order."""
-    perms, _, parent, gen, starts = tables
-    rows = np.empty((starts[-1], perms.shape[1]), dtype=perms.dtype)
-    rows[0] = np.arange(perms.shape[1])
-    for lo, hi in zip(starts[1:-1], starts[2:]):
-        rows[lo:hi] = perms[gen[lo:hi, np.newaxis], rows[parent[lo:hi]]]
-    return rows
 
 
 def _table_conjugates(tables: _CayleyTables):
@@ -425,31 +405,6 @@ def _table_conjugates(tables: _CayleyTables):
         for lo, hi in levels:
             right[lo:hi] = left[i, right[lo:hi]]
         yield right
-
-
-def enumerate_weyl_group(
-    system: RootSystemData | RootSystemType | str, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
-    """All Weyl group elements as permutations of the root list (oracle).
-
-    Elements come by length, and within a length in lexicographic order of
-    their rows.  The rows are rebuilt from the BFS parents of the keys-only
-    enumeration (see ``enumerated_constants``).  Raises ResourceLimitError
-    when the group order exceeds ``cap`` or the rows would exceed the
-    memory budget.
-    """
-    data = _as_data(system)
-    # per element: its uint8 row, a tuple of nroots ints (56 + 8·nroots
-    # bytes) and a list slot
-    tables = _cayley_tables(data, cap, row_bytes=64 + 9 * len(data.roots))
-    rows = _bfs_rows(tables)
-    # rows are uint8 (at most 240 roots): byte order is lexicographic order
-    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    elements: list[tuple[int, ...]] = []
-    for lo, hi in zip(tables.starts, tables.starts[1:]):
-        level = rows[lo:hi][np.argsort(row_bytes[lo:hi])]
-        elements.extend(map(tuple, level.tolist()))
-    return elements
 
 
 def _orbit_count(size: int, targets) -> int:
@@ -481,53 +436,6 @@ def _orbit_count(size: int, targets) -> int:
     return int(np.count_nonzero(parent == np.arange(size, dtype=np.int32)))
 
 
-def _searched_conjugates(arr: np.ndarray, gens: Sequence[np.ndarray]):
-    """For each generator g in turn, the row index of g^-1·x·g for every row x.
-
-    Rows are searched by all their bytes (InconsistencyError if a conjugate
-    is not a row).
-    """
-    keys = _row_keys(arr, slice(None))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    last = max(arr.shape[0] - 1, 0)
-    for g in gens:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=g.dtype)
-        # column c of g^-1 x g is inv[x[g[c]]]; map the values in row blocks,
-        # since indexing converts the whole index array to intp
-        conjugates = arr[:, g]
-        for lo in range(0, conjugates.shape[0], _ROW_BLOCK):
-            block = conjugates[lo:lo + _ROW_BLOCK]
-            block[...] = inv[block]
-        conjugate_keys = _row_keys(conjugates, slice(None))
-        pos = np.minimum(np.searchsorted(sorted_keys, conjugate_keys), last)
-        found = sorted_keys[pos] == conjugate_keys
-        if not found.all():
-            i = int(np.argmin(found))
-            row = tuple(int(v) for v in conjugates[i])
-            raise InconsistencyError(
-                f"the conjugate {row} of element {i} is not among the elements; "
-                "the set is not closed under conjugation by the generators"
-            )
-        yield order[pos]
-
-
-def conjugacy_class_count(
-    elements: Sequence[Sequence[int]],
-    generators: Sequence[Sequence[int]],
-) -> int:
-    """Number of conjugation orbits of the listed group elements under ``generators``.
-
-    For a group, any generating set gives the class count: a few generators
-    are fast, and the elements themselves are correct but slow.
-    """
-    dtype = _perm_dtype(len(elements[0]))
-    arr = np.asarray(elements, dtype=dtype)
-    gens = [np.asarray(g, dtype=dtype) for g in generators]
-    return _orbit_count(arr.shape[0], _searched_conjugates(arr, gens))
-
-
 def enumerated_constants(
     system: RootSystemData | RootSystemType | str, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, int]:
@@ -535,10 +443,10 @@ def enumerated_constants(
 
     The BFS runs on keys, the images of the simple roots, and keeps the
     Cayley table of left multiplication by each simple reflection; the
-    conjugates s_i·v·s_i are then index gathers in that table, with no
-    full rows and no key search.  E7 is in reach with ``cap`` at least its
-    order 2 903 040; E8 exceeds the memory budget at any cap.  Raises
-    ResourceLimitError past ``cap`` or the budget.
+    conjugates s_i·v·s_i are then index gathers in that table.  E7 is in
+    reach with ``cap`` at least its order 2 903 040; E8 exceeds the memory
+    budget at any cap.  Raises ResourceLimitError past ``cap`` or the
+    budget.
     """
     data = _as_data(system)
     tables = _cayley_tables(data, cap)

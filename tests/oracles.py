@@ -304,7 +304,7 @@ def _dict_orbit_count(arr, index, gens) -> int:
 def weyl_by_dict_bfs(label: str, cap: int = 10**6):
     """(elements as root permutations in BFS order, (group order, class count))."""
     stacked, index, gens = _dict_bfs_arrays(build_root_system(label), cap)
-    elements = [tuple(int(v) for v in row) for row in stacked]
+    elements = list(map(tuple, stacked.tolist()))
     return elements, (stacked.shape[0], _dict_orbit_count(stacked, index, gens))
 
 
@@ -320,6 +320,19 @@ def class_count_by_dict(elements, generators=None) -> int:
         else list(arr)
     )
     return _dict_orbit_count(arr, index, gen_arrs)
+
+
+def rows_from_tables(tables) -> np.ndarray:
+    """The elements of ``weyl._cayley_tables`` as rows of root images, in index order.
+
+    Row v is ``perms[gen[v]]`` applied to the row of ``parent[v]``, a level at a time.
+    """
+    perms, _, parent, gen, starts = tables
+    rows = np.empty((len(parent), perms.shape[1]), dtype=perms.dtype)
+    rows[0] = np.arange(perms.shape[1])
+    for lo, hi in zip(starts[1:], starts[2:]):
+        rows[lo:hi] = perms[gen[lo:hi, np.newaxis], rows[parent[lo:hi]]]
+    return rows
 
 
 def _scan_records_per_prime(model, lo: int, hi: int):

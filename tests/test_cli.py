@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -342,6 +343,22 @@ class TestWeyl:
         code, _, err = run_cli(capsys, "weyl", "G3")
         assert code == 1
         assert "invalid" in err
+
+    def test_enumeration_past_the_budget_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "weyl", "E8", "--enumerate", "--cap", "1000000000")
+        assert time.perf_counter() - start <= 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: E8: enumerating")
+        assert "over the budget" in err
+
+    def test_enumeration_past_the_cap_refused(self, capsys):
+        code, out, err = run_cli(capsys, "weyl", "A3", "--enumerate", "--cap", "10")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: A3: group order 24 exceeds the enumeration cap 10; "
+            "use the table constants from constants_for_group\n"
+        )
 
 
 class TestBounds:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import time
 import tracemalloc
 
@@ -8,15 +7,12 @@ import numpy as np
 import pytest
 
 from chebdens import (
-    InconsistencyError,
     InvariantViolationError,
     ResourceLimitError,
     RootSystemType,
     build_root_system,
     class_count,
-    conjugacy_class_count,
     constants_for_group,
-    enumerate_weyl_group,
     enumerated_constants,
     invariant_degrees,
     parse_type,
@@ -24,7 +20,7 @@ from chebdens import (
     weyl_order,
 )
 from chebdens import weyl
-from oracles import class_count_by_dict, partitions_by_enumeration, weyl_by_dict_bfs
+from oracles import class_count_by_dict, partitions_by_enumeration, rows_from_tables, weyl_by_dict_bfs
 
 DEFAULT_CAP = weyl.DEFAULT_ENUMERATION_CAP
 
@@ -151,7 +147,7 @@ class TestEnumeration:
         assert enumerated_constants(label) == (order, classes)
 
     def test_enumerate_returns_permutation_group(self):
-        elements = enumerate_weyl_group("B2")
+        elements, _ = weyl_by_dict_bfs("B2")
         assert len(elements) == 8
         assert len(set(elements)) == 8
         identity = tuple(range(8))
@@ -163,7 +159,7 @@ class TestEnumeration:
         data = build_root_system("G2")
         roots = np.array(data.roots)
         gram = roots @ roots.T
-        for element in enumerate_weyl_group(data):
+        for element in weyl_by_dict_bfs("G2")[0]:
             perm = np.array(element)
             assert (gram[np.ix_(perm, perm)] == gram).all()
 
@@ -175,36 +171,23 @@ class TestEnumeration:
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_weyl_group("E7")
+            enumerated_constants("E7")
         with pytest.raises(ResourceLimitError):
-            enumerate_weyl_group("A3", cap=10)
+            enumerated_constants("A3", cap=10)
 
     def test_conjugacy_count_without_generators(self):
         # the elements themselves generate the group
-        elements = enumerate_weyl_group("A2")
-        assert conjugacy_class_count(elements, elements) == 3
+        elements, _ = weyl_by_dict_bfs("A2")
+        assert class_count_by_dict(elements) == 3
 
     def test_conjugacy_count_with_generators(self):
         data = build_root_system("B3")
-        elements = enumerate_weyl_group(data)
-        gens = simple_reflection_perms(data)
-        assert conjugacy_class_count(elements, gens) == 10
-
-    @pytest.mark.parametrize("label", [
-        "A3", "B3", "D4", "G2", "F4", "D5",
-        # rank 8: keys of exactly 8 bytes; 362 880 elements, c = p(9) = 30
-        pytest.param("A8", marks=pytest.mark.slow),
-    ])
-    def test_key_search_count_matches_tables(self, label):
-        # conjugacy_class_count searches rows by key; enumerated_constants
-        # reads the conjugates off its Cayley tables
-        data = build_root_system(label)
-        count = conjugacy_class_count(enumerate_weyl_group(data), simple_reflection_perms(data))
-        assert enumerated_constants(data)[1] == count == data.c
+        elements, _ = weyl_by_dict_bfs("B3")
+        assert class_count_by_dict(elements, simple_reflection_perms(data)) == 10
 
 
 class TestCayleyTables:
-    """The index tables of the keys-only BFS against full rows and key search."""
+    """The index tables of the keys-only BFS against the rows they stand for."""
 
     @pytest.mark.parametrize("label", ["A1", "G2", "B3", "D4", "F4", "A6", "E6"])
     def test_left_is_a_fixed_point_free_involution_across_levels(self, label):
@@ -218,25 +201,37 @@ class TestCayleyTables:
             assert (row != index).all()
             assert (np.abs(level[row] - level) == 1).all()
 
-    @pytest.mark.parametrize("label", ["B3", "D4", "F4", "A6"])
-    def test_table_conjugates_match_key_search(self, label):
-        tables = weyl._cayley_tables(build_root_system(label), DEFAULT_CAP)
-        rows = weyl._bfs_rows(tables)
-        assert len({row.tobytes() for row in rows}) == rows.shape[0]
-        searched = weyl._searched_conjugates(rows, list(tables.perms))
-        # the table routine refills one array, so compare before asking for the next
-        for from_tables, from_search in zip(weyl._table_conjugates(tables), searched):
-            assert np.array_equal(from_tables, from_search)
+    @pytest.mark.parametrize("label", [
+        "A3", "B3", "D4", "G2", "F4", "D5", "A6",
+        # rank 8: keys of exactly 8 bytes; 362 880 elements, c = p(9) = 30
+        pytest.param("A8", marks=pytest.mark.slow),
+    ])
+    def test_table_conjugates_act_on_rows(self, label):
+        data = build_root_system(label)
+        tables = weyl._cayley_tables(data, DEFAULT_CAP)
+        rows = rows_from_tables(tables)
+        assert len({row.tobytes() for row in rows}) == rows.shape[0] == data.w
+
+        def checked(conjugates):
+            # each refilled array is checked before _orbit_count reads it; the
+            # row of s·v·s maps root k to s[v[s[k]]], and a level at a time
+            # keeps the intp copy of the index small
+            levels = list(zip(tables.starts, tables.starts[1:]))
+            for s, conj in zip(tables.perms, conjugates):
+                for lo, hi in levels:
+                    assert np.array_equal(rows[conj[lo:hi]], s[rows[lo:hi][:, s]])
+                yield conj
+
+        assert weyl._orbit_count(data.w, checked(weyl._table_conjugates(tables))) == data.c
 
     def test_rows_follow_from_parents(self):
         data = build_root_system("F4")
         tables = weyl._cayley_tables(data, DEFAULT_CAP)
-        rows = weyl._bfs_rows(tables)
-        # row v is s_gen[v] applied to the row of parent[v], and left agrees
-        for v in range(1, rows.shape[0]):
-            j, u = tables.gen[v], tables.parent[v]
-            assert tables.left[j, u] == v
-            assert (rows[v] == tables.perms[j][rows[u]]).all()
+        rows = rows_from_tables(tables)
+        # v is s_gen[v]·parent[v], and row left[i, v] is s_i applied to row v
+        assert (tables.left[tables.gen[1:], tables.parent[1:]] == np.arange(1, data.w)).all()
+        for s, products in zip(tables.perms, tables.left):
+            assert (rows[products] == s[rows]).all()
 
 
 class TestEnumerationOracle:
@@ -249,27 +244,17 @@ class TestEnumerationOracle:
     ])
     def test_matches_dict_bfs(self, label):
         elements, constants = weyl_by_dict_bfs(label)
-        assert enumerate_weyl_group(label) == elements
+        tables = weyl._cayley_tables(build_root_system(label), DEFAULT_CAP)
+        assert set(map(tuple, rows_from_tables(tables).tolist())) == set(elements)
         assert enumerated_constants(label) == constants
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
     def test_default_generators_match(self, label):
-        elements = enumerate_weyl_group(label)
-        count = conjugacy_class_count(elements, elements)
-        assert count == class_count_by_dict(elements) == class_count(parse_type(label))
+        elements, (_, count) = weyl_by_dict_bfs(label)
+        assert class_count_by_dict(elements) == count == class_count(parse_type(label))
 
 
 class TestTypedErrors:
-    def test_unclosed_set_names_missing_conjugate(self):
-        data = build_root_system("A2")
-        elements = enumerate_weyl_group(data)
-        gens = simple_reflection_perms(data)
-        # drop the second simple reflection, a conjugate of the other reflections
-        missing = gens[1]
-        subset = [e for e in elements if e != missing]
-        with pytest.raises(InconsistencyError, match=re.escape(f"conjugate {missing} of element")):
-            conjugacy_class_count(subset, gens)
-
     def test_root_count_invariant(self, monkeypatch):
         monkeypatch.setattr(weyl, "expected_root_count", lambda rst_type: 0)
         with pytest.raises(InvariantViolationError, match="generated 6 roots, expected 0"):
@@ -287,7 +272,7 @@ class TestTypedErrors:
         data = build_root_system("D4")
         wrong = dataclasses.replace(data, w=data.w + delta)
         with pytest.raises(InvariantViolationError, match=f"expected w = {data.w + delta}$"):
-            enumerate_weyl_group(wrong)
+            enumerated_constants(wrong)
 
     @pytest.mark.parametrize("label,cap", [("E8", 10**9), ("E8", 10**30), ("A10", 10**8)])
     def test_memory_budget_refuses_before_allocating(self, label, cap):
@@ -302,11 +287,6 @@ class TestTypedErrors:
             tracemalloc.stop()
         assert seconds <= 1.0
         assert peak <= 10 * 2**20
-
-    def test_rows_count_against_the_budget(self):
-        # E7's tables fit the budget, but not its 2.9 million tuples of 126 ints
-        with pytest.raises(ResourceLimitError, match="over the budget"):
-            enumerate_weyl_group("E7", cap=3 * 10**6)
 
 
 @pytest.mark.slow
