@@ -234,6 +234,35 @@ class TestCayleyTables:
             assert (rows[products] == s[rows]).all()
 
 
+class TestRowKeys:
+    """``_row_keys`` against row equality, on both sides of the 8-byte packing."""
+
+    @pytest.mark.parametrize("cols,dtype,packed", [
+        (2, np.uint8, True),    # G2: padded with zero bytes
+        (8, np.uint8, True),    # rank 8: exactly 8 bytes
+        (9, np.uint8, False),   # A9: 9 bytes, np.void keys
+        (4, np.uint16, True),   # more than 255 roots, 8 bytes
+        (5, np.uint16, False),  # more than 255 roots, 10 bytes
+    ])
+    def test_keys_equal_exactly_when_rows_equal(self, cols, dtype, packed):
+        rng = np.random.default_rng(cols)
+        distinct = rng.integers(0, np.iinfo(dtype).max, size=(40, cols), endpoint=True, dtype=dtype)
+        # rows that differ from row 0 only in the lowest or the highest bit of
+        # the last column, and repeats
+        distinct[1:3] = distinct[0]
+        distinct[1, -1] ^= 1
+        distinct[2, -1] ^= 1 << (8 * distinct.itemsize - 1)
+        rows = np.concatenate([distinct, distinct[rng.integers(0, 40, size=300)]])
+        keys = weyl._row_keys(rows)
+        assert keys.shape == (340,)
+        assert (keys.dtype == np.uint64) == packed
+        _, by_key = np.unique(keys, return_inverse=True)
+        _, by_row = np.unique(rows, axis=0, return_inverse=True)
+        by_key, by_row = by_key.ravel(), by_row.ravel()
+        # the two partitions of the rows coincide
+        assert len(set(zip(by_key, by_row))) == by_key.max() + 1 == by_row.max() + 1
+
+
 class TestEnumerationOracle:
     """The array-keyed enumeration against the dict-keyed BFS and orbit loop."""
 
