@@ -38,7 +38,6 @@ from .splitting import (
     GaloisExtensionModel,
     SplittingFieldModel,
     SplittingPredicate,
-    euler_phi,
     split_mask,
 )
 
@@ -238,9 +237,7 @@ def natural_density_estimate(subject: PrimeSubject, cutoff: int) -> DensityEstim
 
 def chebotarev_reference(model: GaloisExtensionModel) -> Fraction:
     """Exact density 1/[L:Q] of the complete-splitting set of the model."""
-    if isinstance(model, AbelianModel):
-        return Fraction(len(model.residues), euler_phi(model.modulus))
-    return Fraction(1, model.galois_order)
+    return Fraction(1, model.degree)
 
 
 def lift_density(delta: Fraction, degree: int) -> Fraction:

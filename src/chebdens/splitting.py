@@ -28,8 +28,8 @@ arithmetic: square-and-multiply for x^p and distinct-degree factorization
 for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
 the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
 GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
-left-to-right ladder computes x^p mod (f, p), except when f is a binomial
-x^n - a modulo every prime of the block (as are x^2 + 1, x^3 - 2, x^4 + 2):
+left-to-right ladder computes x^p mod (f, p), except when f is x^n - a,
+read from its coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2):
 then x^n = a in GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n),
 and only the power of a takes a ladder, which ``split_mask`` runs on the
 primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
@@ -642,27 +642,24 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
     return out
 
 
-def _binomial(red: np.ndarray) -> bool:
-    """Whether f is x^n - a mod every prime of the block: x^n mod (f, p), ``red[0]``, is constant."""
-    return not red[0, 1:].any()
-
-
-def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _x_pow_p(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
-    When f is x^n - a mod every prime of the block, x^n = a in
+    When f is x^n - a, read from its coefficients, x^n = a in
     GF(p)[x]/(f), squarefree or not, so x^p is the monomial
     a^(p // n) x^(p % n), and only the power of a needs a ladder.  Its
     steps multiply c^2 by a where the bit is set and by 1 elsewhere; with a
     taken as its signed residue, small when the coefficient is, one ``% p``
     ends each step (see ``_batch_limit`` for the bound).  For p = 1 (mod n)
     the monomial is a^((p - 1) / n) x, which is x exactly when a is an n-th
-    power residue mod p.
+    power residue mod p.  Any other f builds its reduction rows on the
+    columns of ``p`` alone.
     """
-    r = np.zeros(red.shape[1:], dtype=red.dtype)
-    n = r.shape[0]
-    if _binomial(red):
-        a = np.where(2 * red[0, 0] > p, red[0, 0] - p, red[0, 0])
+    n = len(poly) - 1
+    r = np.zeros((n, p.size), dtype=p.dtype)
+    if not any(poly[1:-1]):
+        a = _mod_int(-poly[0], p)
+        a = np.where(2 * a > p, a - p, a)
         wide = p.dtype != object and int(abs(a).max()) * (int(p.max()) - 1) ** 2 >= 1 << 63
         e, am1 = p // n, a - 1
         c, m = np.ones_like(p), np.empty_like(p)
@@ -678,6 +675,7 @@ def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
             c %= p
         r[(p % n).astype(np.intp), np.arange(p.size)] = c
         return r
+    red = _reduction_rows(poly, p)
     r[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         r = _block_mulmod(r, r, red, p)
@@ -688,7 +686,7 @@ def _x_pow_p(red: np.ndarray, p: np.ndarray) -> np.ndarray:
 def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     """Complete-splitting mask over an array of primes; excluded primes give False.
 
-    On a block where f is a binomial x^n - a, an unramified p splits
+    When f is x^n - a, read from its coefficients, an unramified p splits
     completely only if p = 1 (mod n): the ratios of n distinct roots of
     x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
     it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
@@ -703,6 +701,7 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         return mask & ~_bad_mask(model.bad_primes, primes)
     mask = ~_bad_mask(model.bad_primes, primes)
     n = model.poly_degree
+    binomial = not any(model.poly[1:-1])
     for start, p in _blocks(primes, n):
         part = mask[start:start + _BLOCK]
         missed = part & (_mod_int(model.discriminant, p) == 0)
@@ -710,11 +709,10 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
             _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
         if n == 1:
             continue
-        red = _reduction_rows(model.poly, p)
-        if _binomial(red):
+        if binomial:
             part &= p % n == 1
         if part.any():
-            xp = _x_pow_p(red[:, :, part], p[part])
+            xp = _x_pow_p(model.poly, p[part])
             # f | x^p - x, valid since f mod p is squarefree
             part[part] = (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
     return mask
@@ -747,7 +745,7 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     q[0, 0] = 1
     if n > 1:
         red = _reduction_rows(model.poly, p)
-        q[1] = _x_pow_p(red, p)
+        q[1] = _x_pow_p(model.poly, p)
         for i in range(2, n):
             q[i] = _block_mulmod(q[i - 1], q[1], red, p)
     roots = np.empty((n, p.size), dtype=np.int64)

@@ -15,6 +15,7 @@ import chebdens.splitting as splitting_mod
 from chebdens import InvariantViolationError, calculus, csp_bound_pipeline
 from chebdens.bounds import decimal_str
 from chebdens.cli import main
+from chebdens.density import DEFAULT_S_GRID
 from oracles import scan_per_record
 
 # exit code, stdout and stderr of spl and frob in every format, on a polynomial
@@ -245,6 +246,31 @@ class TestDensity:
         lines = out.strip().splitlines()
         assert lines[0] == "cutoff,s,xi,ratio,reference"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_upper_rows_are_dirichlet_rows_with_estimator(self, capsys, fmt):
+        outs = {}
+        for kind in ("dirichlet", "upper"):
+            code, outs[kind], err = run_cli(
+                capsys, "density", "--modulus", "4", "--residues", "1",
+                "--kind", kind, "--cutoffs", "1000", "--format", fmt,
+            )
+            assert code == 0 and err == ""
+        tag = "max over grid tail"
+        if fmt == "json":
+            expected = json.loads(outs["dirichlet"])
+            expected["kind"] = "upper"
+            for row in expected["rows"]:
+                row["estimator"] = tag
+            assert json.loads(outs["upper"]) == expected
+            return
+        lines = outs["dirichlet"].splitlines()
+        if fmt == "csv":
+            expected = [lines[0] + ",estimator"] + [line + "," + tag for line in lines[1:]]
+        else:
+            expected = [line + "  estimator=" + tag for line in lines]
+        assert len(lines) == len(DEFAULT_S_GRID) + (fmt == "csv")  # one row per s
+        assert outs["upper"].splitlines() == expected
 
 
 class TestCalculus:

@@ -443,8 +443,8 @@ class TestBatchedEngineDifferential:
         # so the true one, {1,2}, comes from frobenius_cycle_type
         x_pow_p = splitting_mod._x_pow_p
 
-        def corrupted(red, p):
-            r = x_pow_p(red, p)
+        def corrupted(poly, p):
+            r = x_pow_p(poly, p)
             r[:, 2] = 0
             return r
 
@@ -465,7 +465,7 @@ class TestBatchedEngineDifferential:
         assert split_mask(X3P7XM2, primes).tolist() == [splits_completely(X3P7XM2, 7)] == [False]
 
     def test_binomial_masks_skip_the_polynomial_ladder(self, monkeypatch, primes_1e4):
-        cases = [(X3M2, primes_1e4), (X4P2, primes_1e4), (X3P7XM2, np.array([7], dtype=np.int64))]
+        cases = [(X3M2, primes_1e4), (X4P2, primes_1e4)]
         expected = [split_mask(model, primes) for model, primes in cases]
 
         def refuse(*args):
@@ -474,22 +474,46 @@ class TestBatchedEngineDifferential:
         monkeypatch.setattr(splitting_mod, "_block_mulmod", refuse)
         for (model, primes), mask in zip(cases, expected):
             assert (split_mask(model, primes) == mask).all()
-        with pytest.raises(RuntimeError, match="_block_mulmod called"):
-            split_mask(X5M1, primes_1e4)
+        # the route is read off f's coefficients, so x^3 + 7x - 2 runs the
+        # ladder even at 7, where it is x^3 - 2
+        for model, primes in ((X5M1, primes_1e4), (X3P7XM2, np.array([7], dtype=np.int64))):
+            with pytest.raises(RuntimeError, match="_block_mulmod called"):
+                split_mask(model, primes)
 
         # x^3 - 2 can split only at p = 1 (mod 3): 611 of the 1229 primes below 10^4
         # reach the ladder, all of them in that class
         received = []
         x_pow_p = splitting_mod._x_pow_p
 
-        def recording(red, p):
+        def recording(poly, p):
             received.extend(p.tolist())
-            return x_pow_p(red, p)
+            return x_pow_p(poly, p)
 
         monkeypatch.setattr(splitting_mod, "_x_pow_p", recording)
         assert (split_mask(X3M2, primes_1e4) == expected[0]).all()
         assert len(received) == 611 and primes_1e4.size == 1229
         assert received == [p for p in primes_1e4.tolist() if p % 3 == 1]
+
+    def test_binomial_masks_build_no_reduction_rows(self, monkeypatch, primes_1e4):
+        """x^n - a reads a = -f(0) mod p alone, on int64 and object blocks."""
+        cases = []
+        for model in (X3M2, X2P1, X4P2):
+            n = model.poly_degree
+            limit = splitting_mod._batch_limit(n)
+            window = np.array(_primes_near(limit, 6), dtype=np.int64)
+            for primes, dtype in ((primes_1e4, np.int64), (window[window <= limit], np.int64),
+                                  (window, object)):
+                assert [p.dtype for _, p in splitting_mod._blocks(primes, n)] == [dtype]
+                cases.append((model, primes, split_mask(model, primes)))
+
+        def refuse(*args):
+            raise RuntimeError("_reduction_rows called")
+
+        monkeypatch.setattr(splitting_mod, "_reduction_rows", refuse)
+        for model, primes, mask in cases:
+            assert (split_mask(model, primes) == mask).all()
+        with pytest.raises(RuntimeError, match="_reduction_rows called"):
+            split_mask(X5M1, primes_1e4)
 
     @given(
         st.integers(2, 8),
