@@ -33,7 +33,11 @@ read from its coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2):
 then x^n = a in GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n),
 and only the power of a takes a ladder, which ``split_mask`` runs on the
 primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
-completely.  Cycle types come from traces:
+completely.  ``split_mask`` runs no ladder for a quadratic f of small
+discriminant D: whether an odd prime p not dividing D splits f is the
+symbol (D/p), which by quadratic reciprocity depends on p mod 4|D| alone,
+so one table of those classes per model decides every prime.  Cycle types
+come from traces:
 with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f), tr(Q^d)
 mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
 GF(p^d) whenever p > deg f, and Moebius inversion gives the counts c_k of
@@ -63,6 +67,9 @@ from .errors import (InconsistencyError, InvariantViolationError, ModelFormatErr
 from .primes import is_prime
 
 _BLOCK = 8192  # primes per batched block, so the work rows stay in cache
+# largest |disc f| of a quadratic f whose split masks read a symbol table of
+# 4|disc f| classes; building it takes about as long as the ladder on one block
+_SYMBOL_LIMIT = 100_000
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
@@ -303,6 +310,13 @@ class SplittingFieldModel:
     @cached_property
     def discriminant(self) -> int:
         return poly_discriminant(self.poly)
+
+    @cached_property
+    def _symbol_table(self) -> np.ndarray | None:
+        """``_quadratic_symbols`` of a quadratic f with |disc f| <= ``_SYMBOL_LIMIT``, else None."""
+        if self.poly_degree != 2 or abs(self.discriminant) > _SYMBOL_LIMIT:
+            return None
+        return _quadratic_symbols(self.poly, self.discriminant)
 
 
 GaloisExtensionModel = Union[AbelianModel, SplittingFieldModel]
@@ -642,7 +656,7 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
     return out
 
 
-def _x_pow_p(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+def _x_pow_p(poly: Sequence[int], p: np.ndarray, red: np.ndarray | None = None) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
     When f is x^n - a, read from its coefficients, x^n = a in
@@ -652,8 +666,8 @@ def _x_pow_p(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     taken as its signed residue, small when the coefficient is, one ``% p``
     ends each step (see ``_batch_limit`` for the bound).  For p = 1 (mod n)
     the monomial is a^((p - 1) / n) x, which is x exactly when a is an n-th
-    power residue mod p.  Any other f builds its reduction rows on the
-    columns of ``p`` alone.
+    power residue mod p.  Any other f reads the reduction rows ``red`` of
+    the columns of ``p``, built here when not given.
     """
     n = len(poly) - 1
     r = np.zeros((n, p.size), dtype=p.dtype)
@@ -675,12 +689,59 @@ def _x_pow_p(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
             c %= p
         r[(p % n).astype(np.intp), np.arange(p.size)] = c
         return r
-    red = _reduction_rows(poly, p)
+    if red is None:
+        red = _reduction_rows(poly, p)
     r[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         r = _block_mulmod(r, r, red, p)
         r = np.where(((p >> bit) & 1).astype(bool), _times_x(r, red[0], p), r)
     return r
+
+
+def _quadratic_symbols(poly: Sequence[int], disc: int) -> np.ndarray:
+    """The symbol (D/p) for f = x^2 + bx + c, D = b^2 - 4c, indexed by p mod 4|D| (int8).
+
+    An odd prime p that does not divide D splits f completely exactly when
+    D is a square mod p, (D/p) = 1, and by quadratic reciprocity (Ireland &
+    Rosen, ch. 5) that depends on p mod 4|D| alone.  Write D = s 2^k m with
+    s = +-1 and m odd and positive; then (D/p) = (s/p) (2/p)^k (m/p) and
+    (m/p) = (-1)^((m-1)/2 (p-1)/2) (p/m), so (D/p) = -1 exactly when an odd
+    number of these factors is -1:
+
+    * (s/p) times the reciprocity sign, where p = 3 (mod 4) and s m = 3 (mod 4);
+    * (2/p), for odd k alone, where p = 3 or 5 (mod 8);
+    * (p/q) for each prime q dividing m to an odd power, where p is no square mod q.
+
+    A class r holds a prime dividing D exactly when gcd(r, D) > 1; its
+    entry is 0.  Class 2 holds p = 2 alone, outside reciprocity: for odd D
+    its entry is +1 or -1 as x^2 == x mod (f, 2) or not, the test of
+    ``splits_completely``.  The other classes hold no prime.
+    """
+    size = 4 * abs(disc)
+    k = (size & -size).bit_length() - 3
+    m = abs(disc) >> k
+    # each pattern has a period dividing size, so rows of that period line it up
+    flip = np.zeros(size, dtype=bool)
+    if (m if disc > 0 else -m) % 4 == 3:
+        flip.reshape(-1, 4)[:, 3] ^= True
+    if k % 2:
+        flip.reshape(-1, 8)[:, 3] ^= True
+        flip.reshape(-1, 8)[:, 5] ^= True
+    factors = prime_factors(disc)
+    for q in factors - {2}:
+        e, rest = 0, m
+        while rest % q == 0:
+            e, rest = e + 1, rest // q
+        if e % 2:
+            nonresidue = np.ones(q, dtype=bool)
+            nonresidue[np.arange(q) ** 2 % q] = False
+            flip.reshape(-1, q)[...] ^= nonresidue
+    table = 1 - 2 * flip.view(np.int8)
+    for q in factors:
+        table.reshape(-1, q)[:, 0] = 0
+    if not k:
+        table[2] = 1 if _pow_mod([1, 0], 2, _desc_mod_p(poly, 2), 2) == [1, 0] else -1
+    return table
 
 
 def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
@@ -693,6 +754,15 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
     ladder; the others are False without arithmetic.  The check for a
     missing ramified prime runs on the whole block first.
+
+    A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
+    model builds, on the first mask, the table of (D/p) over the classes
+    mod 4|D| (``_quadratic_symbols``, by quadratic reciprocity), and each
+    call reads every prime's symbol with one ``%`` and a gather, in int64 at
+    any size of p.  Symbol 0 marks the primes dividing D, where a prime
+    missing from ``bad_primes`` raises as on the ladder route, at the first
+    such prime of the array; p = 2, outside reciprocity, reads the class 2
+    entry, which holds the ``splits_completely`` test there.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
@@ -700,6 +770,13 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         mask = np.isin(primes % m, sorted(model.residues))
         return mask & ~_bad_mask(model.bad_primes, primes)
     mask = ~_bad_mask(model.bad_primes, primes)
+    table = model._symbol_table
+    if table is not None:
+        symbol = table[primes % table.size]
+        missed = mask & (symbol == 0)
+        if missed.any():
+            _require_unramified(model, int(primes[missed.argmax()]))  # raises InconsistencyError
+        return mask & (symbol == 1)
     n = model.poly_degree
     binomial = not any(model.poly[1:-1])
     for start, p in _blocks(primes, n):
@@ -744,8 +821,9 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     q = np.zeros((n, n, p.size), dtype=p.dtype)  # row i: x^(ip) mod (f, p)
     q[0, 0] = 1
     if n > 1:
-        red = _reduction_rows(model.poly, p)
-        q[1] = _x_pow_p(model.poly, p)
+        # Q rows 2..n-1 read the reduction rows, so only n > 2 builds them here
+        red = _reduction_rows(model.poly, p) if n > 2 else None
+        q[1] = _x_pow_p(model.poly, p, red)
         for i in range(2, n):
             q[i] = _block_mulmod(q[i - 1], q[1], red, p)
     roots = np.empty((n, p.size), dtype=np.int64)

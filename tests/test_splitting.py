@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -443,8 +444,8 @@ class TestBatchedEngineDifferential:
         # so the true one, {1,2}, comes from frobenius_cycle_type
         x_pow_p = splitting_mod._x_pow_p
 
-        def corrupted(poly, p):
-            r = x_pow_p(poly, p)
+        def corrupted(*args):
+            r = x_pow_p(*args)
             r[:, 2] = 0
             return r
 
@@ -568,6 +569,124 @@ class TestBatchedEngineDifferential:
             with pytest.raises(InconsistencyError) as error:
                 split_mask(model, np.array(primes, dtype=np.int64))
             assert str(error.value) == str(scalar_error.value)
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_near_2_40() -> list[int]:
+    return _primes_near(2**40, 2)
+
+
+def _ladder_splits(poly, primes: np.ndarray) -> list[bool]:
+    """x^p == x mod (f, p) from ``_x_pow_p`` on the engine's blocks, int64 or ``object``."""
+    out = []
+    for _, p in splitting_mod._blocks(primes, len(poly) - 1):
+        xp = splitting_mod._x_pow_p(poly, p)
+        out += ((xp[1] == 1) & (xp[0] == 0)).tolist()
+    return out
+
+
+class TestQuadraticSymbolTable:
+    """Split masks of x^2 + bx + c read (D/p) off a table of the classes mod 4|D|."""
+
+    LIMIT = splitting_mod._SYMBOL_LIMIT
+
+    @given(
+        st.integers(-60, 60),
+        st.integers(-3000, 3000),
+        st.sampled_from([0, 1, -1]),
+        st.integers(3, 10**4),
+        st.integers(1, 10**5),
+    )
+    @example(0, 1, 0, 3, 1)  # x^2 + 1, D = -4
+    @example(-1, -1, 0, 3, 1)  # x^2 - x - 1, D = 5: 2 is unramified and inert
+    @example(0, -3, 0, 3, 1)  # x^2 - 3, D = 12
+    @example(3, -10, 0, 3, 1)  # x^2 + 3x - 10 = (x + 5)(x - 2), D = 49
+    @example(1, 0, 0, 3, 1)  # x^2 + x, D = 1: 2 is unramified and splits
+    @example(0, 0, 1, 3, 1)  # x^2 - 25000, D = LIMIT: the table
+    @example(0, -1, 1, 3, 1)  # x^2 - 25001, D = LIMIT + 4: the ladder
+    @example(1, 1, 1, 3, 1)  # x^2 + x - 24999, D = LIMIT - 3
+    @example(1, 0, 1, 3, 1)  # x^2 + x - 25000, D = LIMIT + 1
+    @example(0, 0, -1, 3, 1)  # x^2 + 25000, D = -LIMIT
+    @example(0, 1, -1, 3, 1)  # x^2 + 25001, D = -LIMIT - 4
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_ladder_and_scalar_paths(self, b, c, near, small, above):
+        """The table against ``_x_pow_p``, ``splits_completely`` and the mask the ladder route gives.
+
+        With ``near`` set, c is shifted so that D lies within about 10^4 of
+        +-LIMIT, on either side.  The primes hold 2, every prime dividing D,
+        small primes, primes just above ``_batch_limit(2)``, where the ladder
+        takes ``object`` blocks and the table stays int64, and primes near 2^40.
+        """
+        if near:
+            c += (b * b - near * self.LIMIT) // 4
+        poly = (c, b, 1)
+        disc = b * b - 4 * c
+        assume(disc != 0)
+        ramified = sorted(splitting_mod.prime_factors(disc), reverse=True)
+        primes = sorted({2, *_window_primes(small, 6),
+                         *_window_primes(splitting_mod._batch_limit(2) + above, 3),
+                         *_primes_near_2_40()} - set(ramified))
+        whole = np.array(primes, dtype=np.int64)
+        model = splitting_field_model(poly, 2, bad_primes=[])
+        mask = split_mask(model, whole)
+        assert (model._symbol_table is None) == (abs(disc) > self.LIMIT)
+        assert mask.tolist() == _ladder_splits(poly, whole) == [splits_completely(model, p) for p in primes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(splitting_mod, "_SYMBOL_LIMIT", -1)
+            ladder = splitting_field_model(poly, 2, bad_primes=[])
+            assert (split_mask(ladder, whole) == mask).all() and ladder._symbol_table is None
+            # an incomplete bad_primes raises at the first prime dividing D in
+            # array order, the same error as the ladder route and the scalar code
+            mixed = np.array(primes[:3] + ramified + primes[3:], dtype=np.int64)
+            if ramified:
+                with pytest.raises(InconsistencyError) as ladder_error:
+                    split_mask(ladder, mixed)
+        # with the full excluded set the primes dividing D are False, the others unchanged
+        complete = split_mask(splitting_field_model(poly, 2), mixed).tolist()
+        assert complete == mask[:3].tolist() + [False] * len(ramified) + mask[3:].tolist()
+        if not ramified:  # D = 1
+            return
+        with pytest.raises(InconsistencyError) as scalar_error:
+            splits_completely(model, ramified[0])
+        with pytest.raises(InconsistencyError) as mask_error:
+            split_mask(model, mixed)
+        assert str(mask_error.value) == str(ladder_error.value) == str(scalar_error.value)
+
+    def test_quadratic_masks_skip_the_ladder(self, monkeypatch, primes_1e4):
+        polys = [(1, 0, 1), (-3, 0, 1), (-1, -1, 1)]  # x^2 + 1, x^2 - 3, x^2 - x - 1
+        expected = [split_mask(splitting_field_model(poly, 2), primes_1e4) for poly in polys]
+
+        def refuse(*args):
+            raise RuntimeError("_x_pow_p called")
+
+        monkeypatch.setattr(splitting_mod, "_x_pow_p", refuse)
+        # fresh models, so their tables are built with the ladder refused too
+        for poly, mask in zip(polys, expected):
+            assert (split_mask(splitting_field_model(poly, 2), primes_1e4) == mask).all()
+        # |D| = LIMIT reads the table; |D| = LIMIT + 4 and LIMIT + 1 run the ladder
+        c = self.LIMIT // 4
+        split_mask(splitting_field_model((c, 0, 1), 2), primes_1e4)
+        for poly in ((c + 1, 0, 1), (-c, 1, 1)):
+            assert abs(poly_discriminant(poly)) > self.LIMIT
+            with pytest.raises(RuntimeError, match="_x_pow_p called"):
+                split_mask(splitting_field_model(poly, 2), primes_1e4)
+
+    def test_table_is_built_once_per_model(self, monkeypatch, primes_1e4):
+        builds = []
+        symbols = splitting_mod._quadratic_symbols
+        monkeypatch.setattr(splitting_mod, "_quadratic_symbols",
+                            lambda *args: builds.append(args) or symbols(*args))
+        model = splitting_field_model((-1, -1, 1), 2)
+        assert builds == []
+        first = split_mask(model, primes_1e4)
+        assert (split_mask(model, primes_1e4[::2]) == first[::2]).all()
+        assert builds == [((-1, -1, 1), 5)]
+        # classes mod 20 that hold primes: (5/p) = 1 exactly at p = +-1 (mod 5),
+        # 0 at 5, and x^2 - x - 1 is irreducible mod 2
+        table = model._symbol_table
+        assert table.size == 20
+        assert [table[r] for r in (1, 2, 3, 5, 7, 9, 11, 13, 17, 19)] == [1, -1, -1, 0, -1, 1, 1, -1, -1, 1]
+        assert X3M2._symbol_table is None and LINEAR._symbol_table is None
 
 
 class TestPrimesBeyond2To32:
