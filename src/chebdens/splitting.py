@@ -68,7 +68,8 @@ from .primes import is_prime
 
 _BLOCK = 8192  # primes per batched block, so the work rows stay in cache
 # largest |disc f| of a quadratic f whose split masks read a symbol table of
-# 4|disc f| classes; building it takes about as long as the ladder on one block
+# 4|disc f| classes; it keeps building the table below what the ladder spends
+# on one block of _BLOCK primes
 _SYMBOL_LIMIT = 100_000
 _LIMB_BITS = 31
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -725,8 +726,7 @@ def _quadratic_symbols(poly: Sequence[int], disc: int) -> np.ndarray:
     if (m if disc > 0 else -m) % 4 == 3:
         flip.reshape(-1, 4)[:, 3] ^= True
     if k % 2:
-        flip.reshape(-1, 8)[:, 3] ^= True
-        flip.reshape(-1, 8)[:, 5] ^= True
+        flip.reshape(-1, 8)[:, [3, 5]] ^= True
     factors = prime_factors(disc)
     for q in factors - {2}:
         e, rest = 0, m
