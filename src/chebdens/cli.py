@@ -21,7 +21,7 @@ from . import acceptance, calculus, density, splitting, weyl
 from .bounds import (DEFAULT_MATERIALIZE_LIMIT, _STR_BITS, _fraction_str, csp_bound_pipeline,
                      decimal_str, report_to_dict)
 from .errors import ModelFormatError, ResourceLimitError
-from .primes import PrimeRange, sieve_primes
+from .primes import PrimeRange, iter_prime_segments
 
 _CUTOFF_ENV = "CHEBDENS_CUTOFF"
 
@@ -101,21 +101,21 @@ _PROGRESS_EVERY = 200_000
 def _scan_blocks(model, lo: int, hi: int, ramified: list[int]):
     """Yield, per engine block, its primes, one shape index per prime, and its shapes' records.
 
-    The primes are those of [lo, hi) outside ``ramified``.  A record holds
-    ``splits`` and, for a splitting-field model, ``cycle_type``, but not
-    ``p``; an abelian model gives one block with two shapes.  When a prime
-    fails a check, the block of the primes before it is yielded, then its
-    error is raised.
+    The primes are those of [lo, hi) outside ``ramified``, a sieve segment
+    at a time.  A record holds ``splits`` and, for a splitting-field model,
+    ``cycle_type``, but not ``p``; an abelian model gives one block with
+    two shapes per segment.  When a prime fails a check, the block of the
+    primes before it is yielded, then its error is raised.
     """
-    primes = sieve_primes(PrimeRange(lo, hi))
-    primes = primes[~np.isin(primes, ramified)]
-    if not isinstance(model, splitting.SplittingFieldModel):
-        splits = splitting.split_mask(model, primes).tolist()
-        yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
-        return
-    for block, index, shapes in splitting._cycle_types(model, primes):
-        yield block.tolist(), index.tolist(), [
-            {"splits": s.degrees[-1] == 1, "cycle_type": list(s.degrees)} for s in shapes]
+    for primes in iter_prime_segments(PrimeRange(lo, hi)):
+        primes = primes[~np.isin(primes, ramified)]
+        if isinstance(model, splitting.SplittingFieldModel):
+            for block, index, shapes in splitting._cycle_types(model, primes):
+                yield block.tolist(), index.tolist(), [
+                    {"splits": s.degrees[-1] == 1, "cycle_type": list(s.degrees)} for s in shapes]
+        elif primes.size:  # a segment may hold only ramified primes
+            splits = splitting.split_mask(model, primes).tolist()
+            yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
 
 
 #: Help text and record columns (in output order) of each scan command.
@@ -167,7 +167,7 @@ def _cmd_scan(args) -> int:
         text = sep.join([str(p).join(parts[i]) for p, i in zip(block, index)])
         if args.format == "json":
             body += (sep, text)
-        elif block:  # an empty block precedes an error or ends an empty scan
+        elif block:  # an empty block precedes an error
             print(text)
     if args.format == "json":
         # "records" sorts last, so the block texts go between its brackets

@@ -43,24 +43,13 @@ class PrimeRange:
         return self.hi <= self.lo
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain sieve (used for base primes)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[np.ndarray]:
     """Yield the primes of ``rng`` one ascending segment at a time.
 
-    Each segment is sieved independently against the base primes up to
-    sqrt(hi); concatenating the yields equals a single-shot sieve of the
-    whole range.
+    Each segment is sieved against the base primes below sqrt(hi), which
+    this sieve finds on [2, isqrt(hi - 1) + 1); under ``HARD_CAP`` that
+    recursion is at most six levels deep.  Concatenating the yields equals
+    a single-shot sieve of the whole range.
     """
     if rng.hi > hard_cap:
         raise ResourceLimitError(
@@ -69,7 +58,7 @@ def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[n
         )
     if rng.is_empty():
         return
-    base = _simple_sieve(math.isqrt(rng.hi - 1))
+    base = sieve_primes(PrimeRange(2, math.isqrt(rng.hi - 1) + 1), hard_cap)
     lo = rng.lo
     while lo < rng.hi:
         end = min(lo + SEGMENT_SIZE, rng.hi)
@@ -102,7 +91,7 @@ def prime_count(rng: PrimeRange, hard_cap: int = HARD_CAP) -> int:
     return sum(seg.size for seg in iter_prime_segments(rng, hard_cap=hard_cap))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def primes_upto(hi: int) -> np.ndarray:
     """Cached primes below ``hi`` as a read-only array (shared, do not mutate)."""
     arr = sieve_primes(PrimeRange(2, hi))

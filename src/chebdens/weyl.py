@@ -346,12 +346,12 @@ def _cayley_tables(data: RootSystemData, cap: int) -> _CayleyTables:
             f"{data.type}: enumerating {w} elements needs about {need} bytes, "
             f"over the budget of {_TABLE_BUDGET}; use the table constants from constants_for_group"
         )
-    dtype = np.uint8 if len(data.roots) <= 255 else np.uint16
-    perms = np.array(simple_reflection_perms(data), dtype=dtype)
+    # the budget refuses every type with over 255 roots, so root indices fit in uint8
+    perms = np.array(simple_reflection_perms(data), dtype=np.uint8)
     left = np.full((rank, w), -1, dtype=np.int32)
     parent = np.zeros(w, dtype=np.int32)
     gen = np.zeros(w, dtype=np.uint8)
-    keys = np.array([[data.roots.index(alpha) for alpha in data.simple_roots]], dtype=dtype)
+    keys = np.array([[data.roots.index(alpha) for alpha in data.simple_roots]], dtype=np.uint8)
     starts = [0, 1]
     while keys.shape[0]:
         lo, hi = starts[-2], starts[-1]

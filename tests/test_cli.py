@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import chebdens.cli as cli_mod
+import chebdens.primes as primes_mod
 import chebdens.splitting as splitting_mod
 from chebdens import InvariantViolationError, calculus, csp_bound_pipeline
 from chebdens.bounds import decimal_str
@@ -164,6 +165,34 @@ def test_scan_matches_per_record_oracle(capsys, monkeypatch, case, fmt):
     got = run_cli(capsys, *argv)
     monkeypatch.setattr(cli_mod, "_cmd_scan", scan_per_record)
     assert got == run_cli(capsys, *argv)
+
+
+# spl/frob with the sieve's segments patched short, so blocks end at segment
+# boundaries and, at a segment of 1, some segments hold only ramified primes:
+# cubic, quadratic and abelian models, and x^2 - 90001 with 90001 missing from
+# bad_primes in mid-range, which must fail with the same records before it
+SEGMENT_CASES = {
+    "cubic": ["--poly=-2,0,0,1", "--galois-order", "6", "--hi", "1000"],
+    "quadratic": ["--poly=1,0,1", "--galois-order", "2", "--hi", "1000"],
+    "abelian": ["--modulus", "8", "--residues", "1", "--hi", "1000"],
+    "ramified-mid-range": ["--poly=-90001,0,1", "--galois-order", "2", "--bad-primes", "2",
+                           "--lo", "89000", "--hi", "91000"],
+}
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("command", ["spl", "frob"])
+@pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+def test_scan_by_short_segments_matches_unpatched(capsys, monkeypatch, case, command, fmt, segment):
+    argv = [command, *SEGMENT_CASES[case], "--format", fmt]
+    monkeypatch.setattr(cli_mod, "_PROGRESS_EVERY", 50)
+    whole = run_cli(capsys, *argv)
+    if case == "ramified-mid-range":
+        assert whole[0] == 1 and "f mod 90001 is not squarefree" in whole[2]
+        assert fmt == "json" or "89989" in whole[1]
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", segment)
+    assert run_cli(capsys, *argv) == whole
 
 
 class _CountingSink:

@@ -85,3 +85,27 @@ def test_is_prime_agrees_with_trial_division():
 
 def test_output_sorted_strictly_increasing(primes_1e5):
     assert (np.diff(primes_1e5) > 0).all()
+
+
+@pytest.mark.parametrize("seg", [7, 64])
+def test_base_primes_from_the_segmented_sieve(seg, monkeypatch):
+    # hi at, just below and just above p^2, where p itself must be a base prime
+    # exactly when p^2 < hi; segments this short make the base sieves segmented too
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", seg)
+    his = [2, 3, 4, 5] + [p * p + d for p in (2, 3, 5, 7, 11, 13, 31, 97) for d in (-1, 0, 1)]
+    for hi in his:
+        assert sieve_primes(PrimeRange(2, hi)).tolist() == [n for n in range(2, hi) if is_prime(n)]
+        lo = max(2, hi - 30)
+        assert sieve_primes(PrimeRange(lo, hi)).tolist() == [n for n in range(lo, hi) if is_prime(n)]
+
+
+def test_base_prime_recursion_depth_at_the_cap(monkeypatch):
+    # each level sieves [2, isqrt(hi - 1) + 1); below 2^40 that is six calls
+    his = []
+    sieve = primes_mod.sieve_primes
+    monkeypatch.setattr(primes_mod, "sieve_primes",
+                        lambda rng, hard_cap: his.append(rng.hi) or sieve(rng, hard_cap))
+    top = PrimeRange(2**40 - 100, 2**40)
+    got = np.concatenate(list(primes_mod.iter_prime_segments(top))).tolist()
+    assert got == [n for n in range(top.lo, top.hi) if is_prime(n)]
+    assert his == [2**20, 2**10, 2**5, 6, 3, 2]

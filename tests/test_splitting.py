@@ -697,8 +697,8 @@ class TestPrimesBeyond2To32:
     @pytest.mark.parametrize("center", [2**33, 2**40, 2**61], ids=["2^33", "2^40", "2^61"])
     def test_array_paths_match_single_prime(self, center, monkeypatch, capsys):
         window = np.array(_primes_near(center, 3), dtype=np.int64)
-        # the sieve refuses ranges above 2^40, so the scan is handed the window
-        monkeypatch.setattr(cli_mod, "sieve_primes", lambda rng: window)
+        # the sieve refuses ranges above 2^40, so the scan is handed the window as one segment
+        monkeypatch.setattr(cli_mod, "iter_prime_segments", lambda rng: iter([window]))
         for model in self.MODELS:
             expected = [frobenius_cycle_type(model, p).degrees for p in window.tolist()]
             mask = split_mask(model, window)

@@ -317,6 +317,19 @@ class TestTypedErrors:
         assert seconds <= 1.0
         assert peak <= 10 * 2**20
 
+    def test_budget_admits_only_types_with_uint8_root_indices(self):
+        # the Cayley tables hold root indices in uint8; the root counts come from
+        # the degrees (checked against the generated roots up to rank 8), and a
+        # refusal comes before the roots are read, so none are built here
+        labels = ([f"A{n}" for n in range(1, 31)] + [f"{fam}{n}" for fam in "BC" for n in range(2, 31)]
+                  + [f"D{n}" for n in range(4, 31)] + ["E6", "E7", "E8", "F4", "G2"])
+        for label in labels:
+            t = parse_type(label)
+            if weyl.expected_root_count(t) > 255:
+                unbuilt = weyl.RootSystemData(t, (), (), invariant_degrees(t), weyl_order(t), 0)
+                with pytest.raises(ResourceLimitError, match="over the budget"):
+                    enumerated_constants(unbuilt, cap=unbuilt.w)
+
 
 @pytest.mark.slow
 class TestLargeEnumeration:
