@@ -10,6 +10,7 @@ nonzero; stdout carries data only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_scan.add_argument("--lo", type=int, default=2)
         p_scan.add_argument("--hi", type=int, required=True)
         p_scan.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        p_scan.set_defaults(func=_cmd_scan, columns=columns)
+        p_scan.set_defaults(handler="_cmd_scan", columns=columns)
 
     p_density = sub.add_parser("density", help="density convergence tables")
     _add_model_arguments(p_density)
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density.add_argument("--cutoffs", help="comma-separated cutoffs (default: env or 10^7)")
     p_density.add_argument("--s-grid", help="comma-separated s values > 1")
     p_density.add_argument("--format", choices=("json", "csv", "human"), default="json")
-    p_density.set_defaults(func=_cmd_density)
+    p_density.set_defaults(handler="_cmd_density")
 
     p_calc = sub.add_parser("calculus", help="exact rational density operations")
     p_calc.add_argument("operation", choices=tuple(_CALCULUS))
@@ -325,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_calc.add_argument("--densities", help="inclusion-exclusion table like '1:1/2;2:1/2;1,2:1/4'")
     p_calc.add_argument("--sets", help="finite prime sets like '2,3,5;3,5,7'")
     p_calc.add_argument("--s", type=int, default=2, help="integer exponent for ie-check")
-    p_calc.set_defaults(func=_cmd_calculus)
+    p_calc.set_defaults(handler="_cmd_calculus")
 
     p_weyl = sub.add_parser("weyl", help="Weyl constants (d, w, c, degrees) for a type")
     p_weyl.add_argument("type", help="root system type, e.g. A1, D4, E8")
     p_weyl.add_argument("--enumerate", action="store_true",
                         help="cross-check with the brute-force enumeration oracle")
     p_weyl.add_argument("--cap", type=int, default=weyl.DEFAULT_ENUMERATION_CAP)
-    p_weyl.set_defaults(func=_cmd_weyl)
+    p_weyl.set_defaults(handler="_cmd_weyl")
 
     p_bounds = sub.add_parser("bounds", help="full constant pipeline report")
     p_bounds.add_argument("--type", required=True, help="root system type, e.g. A1")
@@ -342,21 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--rho", type=int, default=1)
     p_bounds.add_argument("--materialize-limit", type=int, default=DEFAULT_MATERIALIZE_LIMIT,
                           help="materialize n exactly only below this many digits")
-    p_bounds.set_defaults(func=_cmd_bounds)
+    p_bounds.set_defaults(handler="_cmd_bounds")
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--cutoff", type=int, help=f"prime cutoff (default: ${_CUTOFF_ENV} or 10^7)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for the randomized criteria")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(handler="_cmd_verify")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)  # looked up per call, so a patched handler runs
     except BrokenPipeError:
         return 0
     # bad input exits 1 (argparse handles its own errors); a bug raises its traceback

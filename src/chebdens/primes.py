@@ -46,10 +46,17 @@ class PrimeRange:
 def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[np.ndarray]:
     """Yield the primes of ``rng`` one ascending segment at a time.
 
-    Each segment is sieved against the base primes below sqrt(hi), which
-    this sieve finds on [2, isqrt(hi - 1) + 1); under ``HARD_CAP`` that
-    recursion is at most six levels deep.  Concatenating the yields equals
-    a single-shot sieve of the whole range.
+    Each segment is sieved against the base primes below sqrt(hi).  Those
+    come from ``_base_primes``, which sieves [2, 2^bits) once per process
+    for bits = isqrt(hi - 1).bit_length() and keeps the read-only result:
+    below ``HARD_CAP`` that is at most 20 arrays, 1.4 MB in all, and the
+    recursion behind a bound is at most six sieves deep.  A base prime
+    p <= width / ``_SPARSE_MULTIPLES`` (about 128 multiples or more in the
+    segment) strikes its multiples with one slice; the sparser ones are
+    struck together by ``_scatter``, unless fewer than ``_SCATTER_MIN`` of
+    them are live, where the slice loop is cheaper.  A full ``SEGMENT_SIZE``
+    segment below 10^7 has no sparse prime.  Concatenating the yields
+    equals a single-shot sieve of the whole range.
     """
     if rng.hi > hard_cap:
         raise ResourceLimitError(
@@ -58,21 +65,67 @@ def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[n
         )
     if rng.is_empty():
         return
-    base = sieve_primes(PrimeRange(2, math.isqrt(rng.hi - 1) + 1), hard_cap)
+    base = _base_primes(math.isqrt(rng.hi - 1).bit_length(), hard_cap)
     lo = rng.lo
     while lo < rng.hi:
         end = min(lo + SEGMENT_SIZE, rng.hi)
         mask = np.ones(end - lo, dtype=bool)
-        for p in base.tolist():
-            if p * p >= end:
-                break
+        live = base[: np.searchsorted(base, math.isqrt(end - 1), side="right")]
+        dense = np.searchsorted(live, (end - lo) // _SPARSE_MULTIPLES, side="right")
+        if live.size - dense < _SCATTER_MIN:
+            dense = live.size
+        for p in live[:dense].tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start < end:
                 mask[start - lo :: p] = False
+        if dense < live.size:
+            _scatter(mask, lo, live[dense:])
         seg = np.flatnonzero(mask)
         if seg.size:
             yield (seg + lo).astype(np.int64)
         lo = end
+
+
+#: A base prime up to segment width / _SPARSE_MULTIPLES gets its own slice.
+_SPARSE_MULTIPLES = 128
+#: Fewer live sparse primes than this take the slice loop instead of ``_scatter``.
+_SCATTER_MIN = 64
+#: Most multiples one ``_scatter`` pass indexes, so its two int64 temporaries hold 1 MB each.
+_SCATTER_CHUNK = 1 << 17
+
+
+def _scatter(mask: np.ndarray, lo: int, ps: np.ndarray) -> None:
+    """Strike from ``mask``, which stands for lo, lo + 1, ..., the multiples of
+    each p in ``ps`` from max(p^2, lo) on, with one fancy-index store per pass.
+
+    A pass takes the next primes whose multiples add up to at most
+    ``_SCATTER_CHUNK`` (a prime with more gets a pass of its own), so its
+    index temporaries stay bounded however many primes are sparse: a full
+    segment near 2^40 strikes about 0.36 * 2^21 multiples in six passes.
+    """
+    first = np.maximum(ps * ps, -(-lo // ps) * ps) - lo
+    counts = np.maximum(0, (mask.size - first + ps - 1) // ps)
+    ends = np.cumsum(counts)
+    cut = 0
+    while cut < ps.size:
+        done = int(ends[cut - 1]) if cut else 0
+        stop = max(cut + 1, int(np.searchsorted(ends, done + _SCATTER_CHUNK, side="right")))
+        p, n = ps[cut:stop], counts[cut:stop]
+        runs = ends[cut:stop] - n - done  # where each prime's run starts in the pass
+        # the k-th index of the pass, in the run of p, is first + (k - run) * p
+        idx = np.arange(int(ends[stop - 1]) - done, dtype=np.int64)
+        idx *= np.repeat(p, n)
+        idx += np.repeat(first[cut:stop] - runs * p, n)
+        mask[idx] = False
+        cut = stop
+
+
+@lru_cache(maxsize=None)
+def _base_primes(bits: int, hard_cap: int) -> np.ndarray:
+    """The primes below 2^bits, sieved once per bound, read-only (shared, do not mutate)."""
+    arr = sieve_primes(PrimeRange(2, 1 << bits), hard_cap)
+    arr.setflags(write=False)
+    return arr
 
 
 def sieve_primes(rng: PrimeRange, hard_cap: int = HARD_CAP) -> np.ndarray:
@@ -83,7 +136,7 @@ def sieve_primes(rng: PrimeRange, hard_cap: int = HARD_CAP) -> np.ndarray:
     segments = list(iter_prime_segments(rng, hard_cap=hard_cap))
     if not segments:
         return np.empty(0, dtype=np.int64)
-    return np.concatenate(segments)
+    return segments[0] if len(segments) == 1 else np.concatenate(segments)
 
 
 def prime_count(rng: PrimeRange, hard_cap: int = HARD_CAP) -> int:

@@ -758,11 +758,12 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
     model builds, on the first mask, the table of (D/p) over the classes
     mod 4|D| (``_quadratic_symbols``, by quadratic reciprocity), and each
-    call reads every prime's symbol with one ``%`` and a gather, in int64 at
-    any size of p.  Symbol 0 marks the primes dividing D, where a prime
-    missing from ``bad_primes`` raises as on the ladder route, at the first
-    such prime of the array; p = 2, outside reciprocity, reads the class 2
-    entry, which holds the ``splits_completely`` test there.
+    call reads the symbols with one ``%`` and a gather per block of
+    ``_BLOCK`` primes, in int64 at any size of p.  Symbol 0 marks the
+    primes dividing D, where a prime missing from ``bad_primes`` raises as
+    on the ladder route, at the first such prime of the array; p = 2,
+    outside reciprocity, reads the class 2 entry, which holds the
+    ``splits_completely`` test there.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
@@ -772,11 +773,14 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     mask = ~_bad_mask(model.bad_primes, primes)
     table = model._symbol_table
     if table is not None:
-        symbol = table[primes % table.size]
-        missed = mask & (symbol == 0)
-        if missed.any():
-            _require_unramified(model, int(primes[missed.argmax()]))  # raises InconsistencyError
-        return mask & (symbol == 1)
+        for start in range(0, primes.size, _BLOCK):
+            part, p = mask[start:start + _BLOCK], primes[start:start + _BLOCK]
+            symbol = table[p % table.size]
+            missed = part & (symbol == 0)
+            if missed.any():
+                _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
+            part &= symbol == 1
+        return mask
     n = model.poly_degree
     binomial = not any(model.poly[1:-1])
     for start, p in _blocks(primes, n):

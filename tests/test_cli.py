@@ -583,3 +583,50 @@ def test_parser_options_match_the_recorded_table():
     # or changed fails here, however a Python version's argparse words its help
     recorded = json.loads((Path(__file__).parent / "data" / "cli_options.json").read_text())
     assert _parser_options(cli_mod.build_parser()) == recorded
+
+
+# main parses with one parser per process (cli._parser), built on its first call;
+# the handler is looked up per call and nothing one call parses leaks into the next
+_CUBIC_SCAN = ["spl", "--poly=-2,0,0,1", "--galois-order", "6", "--hi", "3000"]
+
+
+def test_cached_parser_runs_the_handler_patched_after_it_was_built(capsys, monkeypatch):
+    assert run_cli(capsys, "weyl", "A1")[0] == 0
+    parser = cli_mod._parser()
+    calls = []
+    monkeypatch.setattr(cli_mod, "_cmd_scan", lambda args: calls.append(args.command) or 7)
+    assert run_cli(capsys, *_CUBIC_SCAN) == (7, "", "")
+    assert calls == ["spl"] and cli_mod._parser() is parser
+
+
+def test_cached_parser_restores_defaults_between_calls(capsys):
+    fresh = subprocess.run([sys.executable, "-m", "chebdens.cli", *_CUBIC_SCAN],
+                           capture_output=True, text=True, timeout=120)
+    assert run_cli(capsys, *_CUBIC_SCAN, "--format", "csv")[1].startswith("p,splits,cycle_type\n")
+    code, out, err = run_cli(capsys, *_CUBIC_SCAN)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert json.loads(out)["records"][0] == {"cycle_type": [1, 2], "p": 5, "splits": False}
+
+
+@pytest.mark.parametrize("bad", [["spl", "--hi", "many"], ["spl", *_CUBIC_SCAN[1:], "--format", "xml"],
+                                 ["density", "--kind", "exact"], ["no-such-command"]])
+def test_argparse_error_leaves_the_next_call_alone(capsys, bad):
+    before = run_cli(capsys, *_CUBIC_SCAN, "--format", "human")
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    assert run_cli(capsys, *_CUBIC_SCAN, "--format", "human") == before
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spl", "--help"], ["verify", "--help"]])
+def test_help_is_the_same_on_a_fresh_and_a_cached_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    helps = []
+    for clear in (True, False):
+        if clear:
+            cli_mod._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1] and "usage: chebdens" in helps[0].out

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chebdens.primes as primes_mod
@@ -100,7 +100,9 @@ def test_base_primes_from_the_segmented_sieve(seg, monkeypatch):
 
 
 def test_base_prime_recursion_depth_at_the_cap(monkeypatch):
-    # each level sieves [2, isqrt(hi - 1) + 1); below 2^40 that is six calls
+    # each level sieves [2, 2^bits) with bits = isqrt(hi - 1).bit_length(); below 2^40
+    # that is six calls when no bound is cached yet, and none once all are
+    primes_mod._base_primes.cache_clear()
     his = []
     sieve = primes_mod.sieve_primes
     monkeypatch.setattr(primes_mod, "sieve_primes",
@@ -108,4 +110,56 @@ def test_base_prime_recursion_depth_at_the_cap(monkeypatch):
     top = PrimeRange(2**40 - 100, 2**40)
     got = np.concatenate(list(primes_mod.iter_prime_segments(top))).tolist()
     assert got == [n for n in range(top.lo, top.hi) if is_prime(n)]
-    assert his == [2**20, 2**10, 2**5, 6, 3, 2]
+    assert his == [2**20, 2**10, 2**5, 8, 4, 2]
+    his.clear()
+    assert np.concatenate(list(primes_mod.iter_prime_segments(top))).tolist() == got
+    assert his == []
+
+
+def test_base_primes_are_shared_and_read_only():
+    first = primes_mod._base_primes(12, primes_mod.HARD_CAP)
+    assert primes_mod._base_primes(12, primes_mod.HARD_CAP) is first
+    assert not first.flags.writeable
+    assert first.tolist() == [n for n in range(2, 4096) if is_prime(n)]
+
+
+# windows near 2^26, 10^9, 2^34 and 2^40 - 10^4, where narrow segments strike
+# most base primes by scatter; the examples put p^2 of a prime p (8191, 31607,
+# 131071, 1048573) on the last segment's end or on end - 1, and at a segment of
+# 2^21 a window is one segment whose primes above width / 128 are scattered
+_ANCHORS = (2**26, 10**9, 2**34, 2**40 - 10**4)
+
+
+@given(
+    lo=st.sampled_from(_ANCHORS).flatmap(lambda a: st.integers(a - 10**5, min(a + 10**5, 2**40 - 1))),
+    width=st.integers(1, 3 * 10**4),
+    seg=st.sampled_from([7, 64, 1000, 2**21]),
+)
+@example(lo=8191**2 - 3000, width=3000, seg=2**21)
+@example(lo=8191**2 - 2999, width=3000, seg=1000)
+@example(lo=31607**2 - 2000, width=2001, seg=64)
+@example(lo=131071**2 - 700, width=700, seg=7)
+@example(lo=131071**2 - 699, width=700, seg=2**21)
+@example(lo=1048573**2 - 500, width=501, seg=7)
+@example(lo=2**40 - 3 * 10**4, width=3 * 10**4, seg=1000)
+@settings(max_examples=40, deadline=None)
+def test_narrow_windows_match_miller_rabin(lo, width, seg):
+    hi = min(lo + min(width, 300 * seg), 2**40)  # at most 300 segments per window
+    with mock.patch.object(primes_mod, "SEGMENT_SIZE", seg):
+        got = sieve_primes(PrimeRange(lo, hi)).tolist()
+    assert got == [n for n in range(lo, hi) if is_prime(n)]
+
+
+def test_scatter_passes_stay_within_the_chunk(monkeypatch):
+    # a full segment below 2^40 strikes ~80 000 sparse base primes by scatter, in
+    # passes whose index arrays hold at most _SCATTER_CHUNK entries, and finds
+    # the primes the slice loop alone finds
+    sizes = []
+    repeat = np.repeat
+    monkeypatch.setattr(np, "repeat", lambda a, n: sizes.append(int(np.sum(n))) or repeat(a, n))
+    top = PrimeRange(2**40 - 2**21, 2**40)
+    got = sieve_primes(top)
+    monkeypatch.undo()
+    assert len(sizes) > 4 and max(sizes) <= primes_mod._SCATTER_CHUNK
+    with mock.patch.object(primes_mod, "_SCATTER_MIN", 2**40):
+        assert sieve_primes(top).tolist() == got.tolist()
