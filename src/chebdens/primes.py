@@ -3,7 +3,9 @@
 All ranges are half-open ``[lo, hi)`` and all outputs are strictly
 increasing.  The sieve is segmented so that memory stays proportional to
 ``SEGMENT_SIZE`` regardless of ``hi``, and segments are merged in ascending
-order, so the output is identical however the segments are scheduled.
+order, so the output is identical however the segments are scheduled.  A
+segment's mask holds its odd numbers only, one byte each: 1 MB of mask per
+2^21 numbers, and the prime 2 is added where the range holds it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import ResourceLimitError
 #: Refuse to sieve past this bound unless the caller overrides ``hard_cap``.
 HARD_CAP = 2**40
 
-#: Segment length, read at each sieve call; a full pass to 10^7 takes well under a second.
+#: Segment length in numbers (odd and even alike), read at each sieve call;
+#: a full pass to 10^7 takes well under a second.
 SEGMENT_SIZE = 1 << 21
 
 # Witnesses making Miller-Rabin deterministic below ~3.3e24 (far beyond HARD_CAP).
@@ -46,43 +49,64 @@ class PrimeRange:
 def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[np.ndarray]:
     """Yield the primes of ``rng`` one ascending segment at a time.
 
-    Each segment is sieved against the base primes below sqrt(hi).  Those
-    come from ``_base_primes``, which sieves [2, 2^bits) once per process
-    for bits = isqrt(hi - 1).bit_length() and keeps the read-only result:
+    The range is cut into segments of ``SEGMENT_SIZE`` numbers, and each
+    segment [lo, end) is sieved in a mask of its odd numbers only: entry k
+    stands for (lo | 1) + 2k, so 2^21 numbers take 1 MB of mask, and the
+    prime 2 is added when the segment holds it.  A segment one number wide
+    at an even number has no odd number and an empty mask.  The odd base
+    primes below sqrt(end) strike the mask.  They come from
+    ``_base_primes``, which sieves [2, 2^bits) once per process for
+    bits = isqrt(hi - 1).bit_length() and keeps the read-only result:
     below ``HARD_CAP`` that is at most 20 arrays, 1.4 MB in all, and the
     recursion behind a bound is at most six sieves deep.  A base prime
-    p <= width / ``_SPARSE_MULTIPLES`` (about 128 multiples or more in the
-    segment) strikes its multiples with one slice; the sparser ones are
-    struck together by ``_scatter``, unless fewer than ``_SCATTER_MIN`` of
-    them are live, where the slice loop is cheaper.  A full ``SEGMENT_SIZE``
-    segment below 10^7 has no sparse prime.  Concatenating the yields
-    equals a single-shot sieve of the whole range.
+    p <= width / ``_SPARSE_MULTIPLES`` (about 64 odd multiples or more in
+    the segment) strikes its odd multiples with one slice of stride p; the
+    sparser ones are struck together by ``_scatter``, unless fewer than
+    ``_SCATTER_MIN`` of them are live, where the slice loop is cheaper.  A
+    full ``SEGMENT_SIZE`` segment below 10^7 has no sparse prime.
+    Every yield is a non-empty strictly increasing int64 array, and
+    concatenating the yields equals a single-shot sieve of the whole range.
+
+    The range is checked when the generator is made, not when it is first
+    read: a bad ``hi`` raises ``ResourceLimitError`` here.
     """
     if rng.hi > hard_cap:
         raise ResourceLimitError(
             f"hi={rng.hi} exceeds the configured cap {hard_cap}; "
             "pass hard_cap explicitly to allow larger ranges"
         )
+    return _segments(rng, hard_cap)
+
+
+def _segments(rng: PrimeRange, hard_cap: int) -> Iterator[np.ndarray]:
+    """The generator behind ``iter_prime_segments``, for a range already checked."""
     if rng.is_empty():
         return
     base = _base_primes(math.isqrt(rng.hi - 1).bit_length(), hard_cap)
     lo = rng.lo
     while lo < rng.hi:
         end = min(lo + SEGMENT_SIZE, rng.hi)
-        mask = np.ones(end - lo, dtype=bool)
-        live = base[: np.searchsorted(base, math.isqrt(end - 1), side="right")]
+        olo = lo | 1  # olo <= end, as lo < end
+        mask = np.ones((end - olo + 1) // 2, dtype=bool)
+        # base[0] is 2 whenever base is non-empty, so the slice keeps the odd base primes
+        live = base[1 : np.searchsorted(base, math.isqrt(end - 1), side="right")]
         dense = np.searchsorted(live, (end - lo) // _SPARSE_MULTIPLES, side="right")
         if live.size - dense < _SCATTER_MIN:
             dense = live.size
         for p in live[:dense].tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
+            # p is odd, so (q | 1) * p is its first odd multiple from olo on, and p^2 is odd
+            start = max(p * p, (-(-olo // p) | 1) * p)
             if start < end:
-                mask[start - lo :: p] = False
+                mask[(start - olo) >> 1 :: p] = False
         if dense < live.size:
-            _scatter(mask, lo, live[dense:])
-        seg = np.flatnonzero(mask)
+            _scatter(mask, olo, live[dense:])
+        seg = np.flatnonzero(mask).astype(np.int64, copy=False)
+        seg *= 2
+        seg += olo
+        if lo <= 2 < end:
+            seg = np.concatenate((np.array([2], dtype=np.int64), seg))
         if seg.size:
-            yield (seg + lo).astype(np.int64)
+            yield seg
         lo = end
 
 
@@ -94,16 +118,19 @@ _SCATTER_MIN = 64
 _SCATTER_CHUNK = 1 << 17
 
 
-def _scatter(mask: np.ndarray, lo: int, ps: np.ndarray) -> None:
-    """Strike from ``mask``, which stands for lo, lo + 1, ..., the multiples of
-    each p in ``ps`` from max(p^2, lo) on, with one fancy-index store per pass.
+def _scatter(mask: np.ndarray, olo: int, ps: np.ndarray) -> None:
+    """Strike from ``mask``, which stands for the odd numbers olo, olo + 2, ...,
+    the odd multiples of each odd p in ``ps`` from max(p^2, olo) on, with one
+    fancy-index store per pass.
 
-    A pass takes the next primes whose multiples add up to at most
-    ``_SCATTER_CHUNK`` (a prime with more gets a pass of its own), so its
-    index temporaries stay bounded however many primes are sparse: a full
-    segment near 2^40 strikes about 0.36 * 2^21 multiples in six passes.
+    An odd multiple s of p sits at (s - olo) / 2, and the next one, s + 2p,
+    p entries later.  A pass takes the next primes whose multiples add up to
+    at most ``_SCATTER_CHUNK`` (a prime with more gets a pass of its own), so
+    its index temporaries stay bounded however many primes are sparse: a
+    full segment near 2^40 strikes about 0.18 * 2^21 multiples in three
+    passes.
     """
-    first = np.maximum(ps * ps, -(-lo // ps) * ps) - lo
+    first = (np.maximum(ps * ps, (-(-olo // ps) | 1) * ps) - olo) >> 1
     counts = np.maximum(0, (mask.size - first + ps - 1) // ps)
     ends = np.cumsum(counts)
     cut = 0

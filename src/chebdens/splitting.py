@@ -377,7 +377,9 @@ def splitting_field_model(
         bad = prime_factors(disc)
     else:
         bad = frozenset(int(p) for p in bad_primes)
-    return SplittingFieldModel(tuple(coefs), n, bad)
+    model = SplittingFieldModel(tuple(coefs), n, bad)
+    model.__dict__["discriminant"] = disc  # fills the cached_property, so it is not computed again
+    return model
 
 
 # ---------------------------------------------------------------------------

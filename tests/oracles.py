@@ -335,14 +335,13 @@ def rows_from_tables(tables) -> np.ndarray:
     return rows
 
 
-def _scan_records_per_prime(model, lo: int, hi: int):
-    """One record dict per unramified prime of [lo, hi); progress goes to stderr.
+def _scan_records_per_prime(model, primes: np.ndarray, ramified: list[int]):
+    """One record dict per prime of ``primes`` outside ``ramified``; progress goes to stderr.
 
     When a prime fails a check, the records of every prime before it are
     yielded, then its error is raised.
     """
-    primes = sieve_primes(PrimeRange(lo, hi))
-    primes = primes[~np.isin(primes, splitting.ramified_primes_in(model, lo, hi))]
+    primes = primes[~np.isin(primes, ramified)]
     if isinstance(model, splitting.SplittingFieldModel):
         records = (
             {"p": p, "splits": shapes[i].degrees[-1] == 1, "cycle_type": list(shapes[i].degrees)}
@@ -363,16 +362,18 @@ def scan_per_record(args) -> int:
 
     A drop-in for the CLI's scan handler: the same model parsing and engine,
     but every record is filtered, formatted and printed on its own, and the
-    JSON payload is one ``json.dumps``.
+    JSON payload is one ``json.dumps``.  The whole range is sieved first, so
+    a range the sieve refuses leaves stdout empty in every format.
     """
     columns = args.columns
     model = cli._model_from_args(args)
     if "splits" not in columns and not isinstance(model, splitting.SplittingFieldModel):
         raise ModelFormatError("cycle types require a splitting_field model")
     ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
+    primes = sieve_primes(PrimeRange(args.lo, args.hi))  # a bad range fails before any output
     records = (
         {col: rec[col] for col in columns if col in rec}
-        for rec in _scan_records_per_prime(model, args.lo, args.hi)
+        for rec in _scan_records_per_prime(model, primes, ramified)
     )
     if args.format == "json":
         payload = {"model": splitting.model_to_dict(model), "range": [args.lo, args.hi],

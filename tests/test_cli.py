@@ -233,6 +233,22 @@ def test_json_scan_holds_only_its_encoded_text(monkeypatch):
     assert peaks["json"] - peaks["csv"] <= 1.5 * sink.size
 
 
+@pytest.mark.parametrize("poly", ["1,0,1", "-2,0,0,1", "-1,-1,0,0,0,1"])
+@pytest.mark.parametrize("command", ["spl", "frob"])
+def test_poly_scan_computes_one_discriminant(capsys, monkeypatch, poly, command):
+    # the model's discriminant is the one splitting_field_model computed; the
+    # quadratic's symbol table and the engine's ramification check both read it
+    calls = []
+    disc = splitting_mod.poly_discriminant
+    monkeypatch.setattr(splitting_mod, "poly_discriminant", lambda f: calls.append(f) or disc(f))
+    degree = poly.count(",")
+    order = {1: 1, 2: 2, 3: 6, 5: 120}[degree]
+    code, out, _ = run_cli(capsys, command, f"--poly={poly}", "--galois-order", str(order),
+                           "--hi", "20000", "--format", "csv")
+    assert code == 0 and out.count("\n") > 2000
+    assert len(calls) == 1
+
+
 class TestDensity:
     def test_natural_table_trends_to_half(self, capsys):
         code, out, _ = run_cli(
@@ -503,6 +519,21 @@ class TestErrorBoundary:
         monkeypatch.setattr(cli_mod.weyl, "constants_for_group", broken)
         with pytest.raises(type(error)):
             main(["weyl", "A2"])
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("command", ["spl", "frob"])
+    @pytest.mark.parametrize(
+        ("bounds", "message"),
+        [(("--lo", "1", "--hi", "100"), "error: lo must be >= 2, got 1\n"),
+         (("--lo", "-5", "--hi", "100"), "error: lo must be >= 2, got -5\n"),
+         (("--hi", str(2**40 + 1)),
+          f"error: hi={2**40 + 1} exceeds the configured cap {2**40}; "
+          "pass hard_cap explicitly to allow larger ranges\n")],
+        ids=["lo-1", "lo-negative", "hi-past-cap"],
+    )
+    def test_scan_range_refused_before_any_output(self, capsys, fmt, command, bounds, message):
+        argv = (command, "--poly=1,0,1", "--galois-order", "2", *bounds, "--format", fmt)
+        assert run_cli(capsys, *argv) == (1, "", message)
 
     def test_broken_pipe_exits_0(self, monkeypatch):
         def closed(_type):

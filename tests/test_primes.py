@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -163,3 +164,78 @@ def test_scatter_passes_stay_within_the_chunk(monkeypatch):
     assert len(sizes) > 4 and max(sizes) <= primes_mod._SCATTER_CHUNK
     with mock.patch.object(primes_mod, "_SCATTER_MIN", 2**40):
         assert sieve_primes(top).tolist() == got.tolist()
+
+
+def _checked_segments(rng):
+    """The yields of ``iter_prime_segments(rng)``, each checked to be a non-empty,
+    strictly increasing int64 array, concatenated as a list."""
+    segments = list(primes_mod.iter_prime_segments(rng))
+    for seg in segments:
+        assert seg.dtype == np.int64 and seg.ndim == 1 and seg.size > 0
+        assert (np.diff(seg) > 0).all()
+    return np.concatenate(segments).tolist() if segments else []
+
+
+_ODD_BASE = (3, 5, 7, 11, 13, 31, 97)
+
+
+@st.composite
+def _odd_edge_ranges(draw):
+    # lo even or odd, on p^2 or p^2 + 1; hi - 1 anywhere or on an odd multiple of p
+    p = draw(st.sampled_from(_ODD_BASE))
+    lo = draw(st.one_of(st.integers(2, 3000), st.sampled_from([p * p, p * p + 1])))
+    j = draw(st.integers(lo // (2 * p) + 1, lo // (2 * p) + 20))
+    hi = draw(st.one_of(st.integers(lo - 2, lo + 400), st.just(p * (2 * j + 1) + 1)))
+    return lo, hi
+
+
+@given(bounds=_odd_edge_ranges(), seg=st.sampled_from([1, 2, 3, 7, 64, 4097]))
+@example(bounds=(2, 3), seg=1)
+@example(bounds=(2, 4), seg=2)
+@example(bounds=(3, 4), seg=1)
+@example(bounds=(2, 10), seg=3)  # 9 = 3^2 is the last number of the range
+@example(bounds=(9, 26), seg=7)  # lo = 3^2, end - 1 = 5^2
+@example(bounds=(26, 50), seg=2)  # lo = 5^2 + 1, end - 1 = 7^2
+@example(bounds=(121, 170), seg=4097)  # lo = 11^2, end - 1 = 13^2
+@example(bounds=(2, 2), seg=1)
+@settings(max_examples=80, deadline=None)
+def test_odd_only_segments_match_trial_division(bounds, seg):
+    # a segment one number wide at an even number holds no odd number at all,
+    # and one holding nothing but composites yields nothing
+    lo, hi = bounds
+    with mock.patch.object(primes_mod, "SEGMENT_SIZE", seg):
+        got = _checked_segments(PrimeRange(lo, hi))
+    assert got == [n for n in range(lo, hi) if trial_division_is_prime(n)]
+
+
+def test_full_segments_are_increasing_int64():
+    # one segment, then three from an even lo, the last of them one number wide
+    assert _checked_segments(PrimeRange(2, 10**6)) == odd_bytearray_sieve(10**6)
+    hi = 10**6 + 2**22 + 1
+    assert _checked_segments(PrimeRange(10**6, hi)) == [p for p in odd_bytearray_sieve(hi) if p >= 10**6]
+
+
+@pytest.mark.parametrize("seg", [4097, 4096])
+def test_count_to_1e6_with_odd_and_even_segments(seg, monkeypatch):
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", seg)
+    assert prime_count(PrimeRange(2, 10**6)) == len(odd_bytearray_sieve(10**6)) == 78498
+
+
+def test_full_segment_near_1e9_takes_slices_and_scatter(monkeypatch):
+    # at 2^21 numbers the odd base primes up to 2^21 / 128 = 16384 are struck by
+    # slices and the 1504 above it, up to sqrt(10^9 + 2^21), by one scatter
+    rng = PrimeRange(10**9, 10**9 + 2**21)
+    scattered = []
+    scatter = primes_mod._scatter
+    monkeypatch.setattr(primes_mod, "_scatter",
+                        lambda mask, olo, ps: scattered.append(ps.tolist()) or scatter(mask, olo, ps))
+    got = _checked_segments(rng)
+    assert len(scattered) == 1
+    odd_base = [p for p in range(3, math.isqrt(rng.hi - 1) + 1) if is_prime(p)]
+    sliced = odd_base[: len(odd_base) - len(scattered[0])]
+    assert scattered[0] == odd_base[len(sliced):] and len(scattered[0]) == 1504
+    assert sliced[-1] <= 2**21 // primes_mod._SPARSE_MULTIPLES < scattered[0][0]
+    monkeypatch.setattr(primes_mod, "_SCATTER_MIN", 2**40)  # every base prime by slice
+    assert got == sieve_primes(rng).tolist() and len(scattered) == 1
+    sample = got[::500]
+    assert all(is_prime(p) for p in sample) and len(got) == len(set(got))

@@ -68,6 +68,19 @@ class TestModels:
         assert sorted(X3M2.bad_primes) == [2, 3]
         assert sorted(splitting_field_model((-5, 0, 1), 2).bad_primes) == [2, 5]
 
+    def test_discriminant_computed_once(self, monkeypatch):
+        # splitting_field_model hands its discriminant to the model; a model built
+        # directly computes it on first use; neither changes equality or repr
+        calls = []
+        disc = splitting_mod.poly_discriminant
+        monkeypatch.setattr(splitting_mod, "poly_discriminant", lambda f: calls.append(f) or disc(f))
+        model = splitting_field_model((-2, 0, 0, 1), 6)
+        assert (model.discriminant, model.discriminant, len(calls)) == (-108, -108, 1)
+        direct = splitting_mod.SplittingFieldModel((-2, 0, 0, 1), 6, frozenset({2, 3}))
+        assert "discriminant" not in vars(direct) and len(calls) == 1
+        assert (direct.discriminant, direct.discriminant, len(calls)) == (-108, -108, 2)
+        assert direct == model and repr(direct) == repr(model) and hash(direct) == hash(model)
+
     def test_explicit_bad_primes_respected(self):
         model = splitting_field_model((1, 0, 1), 2, bad_primes=[2, 13])
         with pytest.raises(RamifiedPrimeError):
