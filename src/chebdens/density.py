@@ -103,8 +103,9 @@ def member_mask(subject: PrimeSubject, primes: np.ndarray) -> np.ndarray:
         return subject
     if callable(subject):
         return np.fromiter((bool(subject(int(p))) for p in primes), bool, count=len(primes))
-    members = np.asarray(sorted(set(int(p) for p in subject)), dtype=np.int64)
-    return np.isin(primes, members)
+    # a member no int64 prime array can hold is in no mask, and would overflow the conversion
+    members = sorted({p for p in map(int, subject) if -(1 << 63) <= p < 1 << 63})
+    return np.isin(primes, np.asarray(members, dtype=np.int64))
 
 
 def _classify(subject: PrimeSubject, cutoffs: list[int]):

@@ -22,33 +22,33 @@ cycle-type predicates describe unions of classes; abelian models therefore
 take residue sets, which pin classes down exactly, and no finer resolution
 is exposed for splitting-field models.
 
-Two engines compute the same answers.  Single primes (``splits_completely``,
-``frobenius_cycle_type``, ``in_progression``) use dense Python-int
-arithmetic: square-and-multiply for x^p and distinct-degree factorization
-for cycle types, exact at any size of p.  Prime arrays (``split_mask`` and
-the cycle-type branch of ``SplittingPredicate.mask``) go through one batched
-GF(p)[x] engine, one column per prime in blocks of ``_BLOCK`` primes: a
-left-to-right ladder computes x^p mod (f, p), except when f is x^n - a,
-read from its coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2):
-then x^n = a in GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n),
-and only the power of a takes a ladder, which ``split_mask`` runs on the
-primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
-completely.  ``split_mask`` runs no ladder for a quadratic f of small
-discriminant D: whether an odd prime p not dividing D splits f is the
-symbol (D/p), which by quadratic reciprocity depends on p mod 4|D| alone,
-so one table of those classes per model decides every prime.  Cycle types
-come from traces:
-with Q Berlekamp's matrix of the Frobenius map on GF(p)[x]/(f), tr(Q^d)
-mod p is the number R(d) = sum_{k | d} k c_k of roots of f in
-GF(p^d) whenever p > deg f, and Moebius inversion gives the counts c_k of
-degree-k factors.  A prime p <= deg f (at most 2, 3, 5 and 7 for
-deg f <= 8) goes through the single-prime distinct-degree factorization
-instead.  A block runs in int64 when its largest prime is at most
-``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
-the same functions on an ``object`` array of Python ints.  Apart from the
-excluded primes, which masks mark False, an array path raises at its first
-failing prime the error that the single-prime function raises there
-(``splits_completely`` for ``split_mask``, ``frobenius_cycle_type`` for
+Two engines compute the same answers, on coefficients constant term first.
+Single primes (``splits_completely``, ``frobenius_cycle_type``,
+``in_progression``) use lists of Python ints, exact at any size of p.  Prime
+arrays (``split_mask`` and the cycle-type branch of
+``SplittingPredicate.mask``) go through one batched GF(p)[x] engine, one
+column per prime in blocks of ``_BLOCK`` primes.  Both compute x^p mod (f, p)
+by a left-to-right ladder, except when f is x^n - a, read from its
+coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2): then x^n = a in
+GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n), and only the
+power of a is left, which ``split_mask`` takes on the primes p = 1 (mod n)
+alone, since no other unramified prime splits x^n - a completely.
+``split_mask`` runs no ladder for a quadratic f of small discriminant D:
+whether an odd prime p not dividing D splits f is the symbol (D/p), which by
+quadratic reciprocity depends on p mod 4|D| alone, so one table of those
+classes per model decides every prime.  With Q Berlekamp's matrix of the
+Frobenius map on GF(p)[x]/(f), a single prime's cycle type comes from
+distinct-degree factorization, which reads x^(p^d) for d >= 2 off the rows
+of Q, and the engine's from traces: tr(Q^d) mod p is the number
+R(d) = sum_{k | d} k c_k of roots of f in GF(p^d) whenever p > deg f, and
+Moebius inversion gives the counts c_k of degree-k factors; the engine
+sends a prime p <= deg f (at most 2, 3, 5 and 7 for deg f <= 8) to the
+single-prime factorization instead.  A block runs in int64 when its largest
+prime is at most ``_batch_limit(deg f)``; a block with a prime too large for
+int64 sums runs the same functions on an ``object`` array of Python ints.
+Apart from the excluded primes, which masks mark False, an array path raises
+at its first failing prime the error that the single-prime function raises
+there (``splits_completely`` for ``split_mask``, ``frobenius_cycle_type`` for
 cycle types): same type, same message.
 """
 
@@ -76,85 +76,76 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 # ---------------------------------------------------------------------------
-# dense GF(p) polynomial helpers (leading coefficient first)
+# dense GF(p) polynomial helpers (constant term first, as ``model.poly``)
 
 def _trim(f: list[int]) -> list[int]:
-    i = 0
-    while i < len(f) and f[i] == 0:
-        i += 1
-    return f[i:]
-
-
-def _monic(f: list[int], p: int) -> list[int]:
-    if not f or f[0] == 1:
-        return f
-    inv = pow(f[0], -1, p)
-    return [c * inv % p for c in f]
-
-
-def _rem(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f modulo a monic g, coefficients mod p."""
-    f = [c % p for c in f]
-    dg = len(g) - 1
-    while len(f) > dg:
-        lead = f[0]
-        if lead:
-            for i in range(1, dg + 1):
-                f[i] = (f[i] - lead * g[i]) % p
-        f.pop(0)
-    return _trim(f)
-
-
-def _divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of f by a monic g over GF(p)."""
-    f = [c % p for c in f]
-    dg = len(g) - 1
-    q: list[int] = []
-    while len(f) > dg:
-        lead = f[0]
-        q.append(lead)
-        if lead:
-            for i in range(1, dg + 1):
-                f[i] = (f[i] - lead * g[i]) % p
-        f.pop(0)
-    return _trim(q), _trim(f)
-
-
-def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd of f and g over GF(p)."""
-    f, g = _monic(_trim(f), p), _monic(_trim(g), p)
-    while g:
-        f, g = g, _monic(_rem(f, g, p), p)
+    while f and f[-1] == 0:
+        f.pop()
     return f
 
 
+def _divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by g over GF(p); g's leading coefficient is nonzero mod p."""
+    r = [c % p for c in f]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * (len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] * inv % p
+        if c:
+            for i in range(dg):
+                r[k + i] = (r[k + i] - c * g[i]) % p
+    return _trim(q), _trim(r[:dg])
+
+
+def _gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd of f and g over GF(p); f's leading coefficient is nonzero mod p."""
+    g = _divmod(g, f, p)[1]
+    while g:
+        f, g = g, _divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
 def _mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """(a * b) mod (f, p) for monic f; operands already reduced mod f."""
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
+    """a * b mod (f, p) for f monic of degree n and a, b of n coefficients each.
+
+    As in ``_block_mulmod``, each coefficient sums its products before one
+    ``% p``; the high ones are reduced by f in place, from the top.
+    """
+    n = len(a)
+    prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _rem(prod, f, p)
+            for k, bj in enumerate(b, i):
+                prod[k] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i, fi in enumerate(f[:n], k - n):
+                prod[i] -= c * fi
+    return [c % p for c in prod[:n]]
 
 
-def _pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod (f, p) by square-and-multiply."""
-    result = [1]
-    b = _rem(base, f, p)
-    while e:
-        if e & 1:
-            result = _mulmod(result, b, f, p)
-        e >>= 1
-        if e:
-            b = _mulmod(b, b, f, p)
-    return result
+def _x_pow(e: int, f: list[int], p: int) -> list[int]:
+    """x^e mod (f, p) for monic f, as deg f coefficients, as in ``_x_pow_p``.
 
-
-def _desc_mod_p(poly_ascending: Sequence[int], p: int) -> list[int]:
-    return _trim([c % p for c in reversed(poly_ascending)])
+    When f is x^n - a, x^e is the monomial a^(e // n) x^(e % n).  Any other
+    f takes a left-to-right ladder: square at every bit of e, and where it is
+    set multiply by x, a shift plus one reduction row.
+    """
+    n = len(f) - 1
+    r = [0] * n
+    if not any(f[1:-1]):
+        r[e % n] = pow(-f[0], e // n, p)
+        return r
+    r[0] = 1
+    for bit in bin(e)[2:]:
+        r = _mulmod(r, r, f, p)
+        if bit == "1":
+            top = r[-1]
+            r = [(c - top * fi) % p for c, fi in zip([0] + r[:-1], f)]
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +193,7 @@ def poly_discriminant(poly: Sequence[int]) -> int:
     >>> poly_discriminant((-2, 0, 0, 1))  # x^3 - 2
     -108
     """
-    f = _trim([int(c) for c in reversed(poly)])
+    f = _trim([int(c) for c in poly])[::-1]  # leading coefficient first, for the Sylvester rows
     n = len(f) - 1
     if n < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -210,8 +201,7 @@ def poly_discriminant(poly: Sequence[int]) -> int:
         raise ValueError("polynomial must be monic")
     if n == 1:
         return 1
-    fp = [c * (n - i) for i, c in enumerate(f[:-1])]
-    res = _resultant(f, _trim(fp))
+    res = _resultant(f, [c * (n - i) for i, c in enumerate(f[:-1])])  # f and f'
     return (-1) ** (n * (n - 1) // 2) * res
 
 
@@ -405,7 +395,9 @@ class FrobeniusCycleType:
 
 
 def _require_unramified(model: GaloisExtensionModel, p: int) -> None:
-    """Raise if p is excluded from the model or ramified in it."""
+    """Raise if p is no candidate prime (p < 2), is excluded from the model or ramifies in it."""
+    if p < 2:
+        raise ValueError(f"p={p} is not a prime")
     if isinstance(model, AbelianModel):
         if model.modulus > 1 and model.modulus % p == 0:
             raise RamifiedPrimeError(f"p={p} divides the modulus {model.modulus}")
@@ -424,39 +416,43 @@ def splits_completely(model: GaloisExtensionModel, p: int) -> bool:
     _require_unramified(model, p)
     if isinstance(model, AbelianModel):
         return p % model.modulus in model.residues
-    f = _desc_mod_p(model.poly, p)
-    if len(f) - 1 <= 1:
-        return True
+    f = [c % p for c in model.poly]
     # f | x^p - x  <=>  x^p == x mod (f, p), valid since f mod p is squarefree
-    xp = _pow_mod([1, 0], p, f, p)
-    return xp == [1, 0]
+    return len(f) <= 2 or _x_pow(p, f, p) == [0, 1] + [0] * (len(f) - 3)
 
 
 def _factor_degrees(poly: Sequence[int], p: int) -> list[int]:
     """Degrees of the irreducible factors of f mod p by distinct-degree factorization.
 
     Exact for f squarefree mod p; the caller checks that p is unramified.
+    Degree d takes g = x^(p^d) mod work, work the product of the factors of
+    degree >= d: a ladder for d = 1, then g(x^p) = sum g_i x^(ip), read off
+    the rows of Berlekamp's Q, built mod work once d = 2 is reached.  Every
+    later work divides that one, so Q and g stay modulo it.
     """
-    work = _desc_mod_p(poly, p)
+    work = [c % p for c in poly]
+    g = _x_pow(p, work, p)
     degrees: list[int] = []
-    g = _rem([1, 0], work, p)  # x mod work
-    d = 0
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            degrees.append(len(work) - 1)
-            break
-        g = _pow_mod(g, p, work, p)
-        diff = [0] * (2 - len(g)) + g  # g - x, padded to degree >= 1
-        diff[-2] = (diff[-2] - 1) % p
-        h = _gcd(work, _trim(diff), p)
-        if len(h) - 1 > 0:
+    q: list[list[int]] = []
+    d = 1
+    while 2 * d < len(work):
+        if d > 1:
+            if not q:  # rows x^(ip) mod work, i < m
+                m = len(work) - 1
+                g = _divmod(g, work, p)[1]
+                g += [0] * (m - len(g))
+                q = [[1] + [0] * (m - 1), g]
+                while len(q) < m:
+                    q.append(_mulmod(q[-1], g, work, p))
+            g = [sum(c * row[k] for c, row in zip(g, q)) % p for k in range(len(g))]
+        h = _gcd(work, [g[0], g[1] - 1, *g[2:]], p)  # gcd(work, g - x)
+        if len(h) > 1:
             degrees.extend([d] * ((len(h) - 1) // d))
             work, rem = _divmod(work, h, p)
             if rem:  # h divides work by construction
                 raise InvariantViolationError(f"gcd factor of f mod {p} left remainder {rem}")
-            g = _rem(g, work, p)
-    return degrees
+        d += 1
+    return degrees + [len(work) - 1] if len(work) > 1 else degrees
 
 
 def frobenius_cycle_type(model: SplittingFieldModel, p: int) -> FrobeniusCycleType:
@@ -742,7 +738,7 @@ def _quadratic_symbols(poly: Sequence[int], disc: int) -> np.ndarray:
     for q in factors:
         table.reshape(-1, q)[:, 0] = 0
     if not k:
-        table[2] = 1 if _pow_mod([1, 0], 2, _desc_mod_p(poly, 2), 2) == [1, 0] else -1
+        table[2] = 1 if _x_pow(2, list(poly), 2) == [0, 1] else -1
     return table
 
 

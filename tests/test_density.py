@@ -129,6 +129,12 @@ class TestMemberMask:
         with pytest.raises(ValueError):
             member_mask(np.zeros(3, dtype=bool), primes_1e4)
 
+    def test_members_beyond_int64_are_dropped(self, primes_1e4):
+        # no int64 prime array holds them, so they cannot change a mask
+        wide = {3, 13, 2**70, -(2**70), 2**63}
+        assert (member_mask(wide, primes_1e4) == member_mask({3, 13}, primes_1e4)).all()
+        assert natural_density_estimate({3, 2**70}, 100) == natural_density_estimate({3}, 100)
+
 
 class TestRiemannZeta:
     def test_against_mpmath(self):

@@ -159,12 +159,26 @@ class TestCycleTypes:
             splitting_field_model((-2, 0, -2, 1, 0, 1), 60),  # (x^2+1)(x^3-2)
             splitting_field_model((1, 1, 1, 1, 1), 4),       # 5th cyclotomic
         ]
-        for model in models:
+        # degrees 6 to 8: each has primes p <= deg f, and mod some p <= 13 two
+        # or more factors of one degree d >= 2, which the rows of Berlekamp's
+        # Q find after d = 1
+        repeated = [
+            splitting_field_model((1, 0, 0, 0, 0, 0, 1), 12),       # x^6 + 1: (2, 2, 2) mod 7
+            splitting_field_model((-2, 0, 0, 0, 0, 0, 0, 1), 42),   # x^7 - 2: (1, 3, 3) mod 11
+            splitting_field_model((1, 0, 0, 0, 0, 0, 0, 0, 1), 8),  # x^8 + 1: (4, 4) mod 3
+        ]
+        for model in models + repeated:
+            shapes = {}
             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
                 if p in model.bad_primes:
                     continue
                 expected = brute_force_factor_degrees(model.poly, p)
                 assert frobenius_cycle_type(model, p).degrees == expected, (model.poly, p)
+                shapes[p] = expected
+            if model in repeated:
+                assert min(shapes) <= model.poly_degree
+                assert any(shape.count(d) > 1 for p, shape in shapes.items() if p <= 13
+                           for d in set(shape) - {1}), model.poly
 
     def test_quartic_degrees_sum_and_orders(self, primes_1e4):
         quartic = splitting_field_model((1, 0, 0, 0, 1), 4)  # x^4 + 1, Galois group C2 x C2
@@ -339,12 +353,27 @@ class TestPathAgreement:
             assert splitting_mod._mod_int(value, mods).tolist() == [value % m for m in mods.tolist()]
 
     def test_nonzero_ddf_remainder_is_an_invariant_violation(self, monkeypatch):
-        divmod_ = splitting_mod._divmod
-        monkeypatch.setattr(
-            splitting_mod, "_divmod", lambda f, g, p: (divmod_(f, g, p)[0], [1])
-        )
+        # x + 1 is no factor of x^3 - 2 mod 5, where (-1)^3 - 2 = 2, so
+        # dividing by it leaves a remainder
+        monkeypatch.setattr(splitting_mod, "_gcd", lambda f, g, p: [1, 1])
         with pytest.raises(InvariantViolationError):
             frobenius_cycle_type(X3M2, 5)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1])
+    @pytest.mark.parametrize("path", [
+        lambda p: splits_completely(X2P1, p),
+        lambda p: splits_completely(MOD4, p),
+        lambda p: frobenius_cycle_type(X2P1, p),
+        lambda p: in_progression(intersect_splitting([X3M2, MOD4]), p),
+        lambda p: in_progression(residue_class_predicate(MOD4, [1]), p),
+        lambda p: in_progression(cycle_type_predicate(X3M2, (1, 2)), p),
+    ], ids=["splits_completely", "splits_completely_abelian", "frobenius_cycle_type",
+            "in_progression", "in_progression_residues", "in_progression_cycle_type"])
+    def test_single_prime_paths_refuse_p_below_2(self, path, p):
+        with pytest.raises(ValueError) as error:
+            path(p)
+        assert type(error.value) is ValueError
+        assert str(error.value) == f"p={p} is not a prime"
 
 
 def _window_primes(lo: int, count: int) -> list[int]:
