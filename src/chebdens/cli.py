@@ -99,32 +99,25 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 _PROGRESS_EVERY = 200_000
 
 
-def _scan_blocks(model, lo: int, hi: int, ramified: list[int]):
-    """An iterator of the engine blocks: per block, its primes, one shape index
-    per prime, and its shapes' records.
+def _scan_blocks(model, segments, ramified: list[int]):
+    """The engine blocks of the primes of ``segments`` outside ``ramified``:
+    per block, its primes, one shape index per prime, and its shapes' records.
 
-    The primes are those of [lo, hi) outside ``ramified``, a sieve segment
-    at a time.  A record holds ``splits`` and, for a splitting-field model,
-    ``cycle_type``, but not ``p``; an abelian model gives one block with
-    two shapes per segment.  When a prime fails a check, the block of the
-    primes before it is yielded, then its error is raised.  The range is
-    checked on the call, before any block is read, so a bad range raises
-    before the caller writes anything.
+    A record holds ``splits`` and, for a splitting-field model,
+    ``cycle_type``, but not ``p``; an abelian model gives one block with two
+    shapes per segment.  When a prime fails a check, the block of the primes
+    before it is yielded, then its error is raised.  ``iter_prime_segments``
+    checked the range when it made ``segments``, before any output.
     """
-    segments = iter_prime_segments(PrimeRange(lo, hi))
-
-    def blocks():
-        for primes in segments:
-            primes = primes[~np.isin(primes, ramified)]
-            if isinstance(model, splitting.SplittingFieldModel):
-                for block, index, shapes in splitting._cycle_types(model, primes):
-                    yield block.tolist(), index.tolist(), [
-                        {"splits": s.degrees[-1] == 1, "cycle_type": list(s.degrees)} for s in shapes]
-            elif primes.size:  # a segment may hold only ramified primes
-                splits = splitting.split_mask(model, primes).tolist()
-                yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
-
-    return blocks()
+    for primes in segments:
+        primes = primes[~np.isin(primes, ramified)]
+        if isinstance(model, splitting.SplittingFieldModel):
+            for block, index, shapes in splitting._cycle_types(model, primes):
+                yield block.tolist(), index.tolist(), [
+                    {"splits": s.degrees[-1] == 1, "cycle_type": list(s.degrees)} for s in shapes]
+        elif primes.size:  # a segment may hold only ramified primes
+            splits = splitting.split_mask(model, primes).tolist()
+            yield primes.tolist(), splits, ({"splits": False}, {"splits": True})
 
 
 #: Help text and record columns (in output order) of each scan command.
@@ -156,7 +149,7 @@ def _cmd_scan(args) -> int:
     if "splits" not in columns and not isinstance(model, splitting.SplittingFieldModel):
         raise ModelFormatError("cycle types require a splitting_field model")
     ramified = splitting.ramified_primes_in(model, args.lo, args.hi)
-    blocks = _scan_blocks(model, args.lo, args.hi, ramified)  # checks the range before any output
+    segments = iter_prime_segments(PrimeRange(args.lo, args.hi))  # checks the range before any output
     if args.format == "json":
         sep, encode = ", ", lambda rec: json.dumps({col: rec[col] for col in columns if col in rec},
                                                    sort_keys=True)
@@ -169,7 +162,7 @@ def _cmd_scan(args) -> int:
         sep, encode = "\n", lambda rec: " ".join(
             f"{_HUMAN_LABELS[col]}={rec[col]}" for col in columns if col in rec)
     body, done = [], 0
-    for block, index, records in blocks:
+    for block, index, records in _scan_blocks(model, segments, ramified):
         for at in range((-done - 1) % _PROGRESS_EVERY, len(block), _PROGRESS_EVERY):
             print(f"... {done + at + 1} primes scanned, at p = {block[at]}", file=sys.stderr)
         done += len(block)

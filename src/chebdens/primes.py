@@ -56,7 +56,7 @@ def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[n
     at an even number has no odd number and an empty mask.  The odd base
     primes below sqrt(end) strike the mask.  They come from
     ``_base_primes``, which sieves [2, 2^bits) once per process for
-    bits = isqrt(hi - 1).bit_length() and keeps the read-only result:
+    bits = isqrt(hi - 1).bit_length(), whatever the cap, and keeps it read-only:
     below ``HARD_CAP`` that is at most 20 arrays, 1.4 MB in all, and the
     recursion behind a bound is at most six sieves deep.  A base prime
     p <= width / ``_SPARSE_MULTIPLES`` (about 64 odd multiples or more in
@@ -75,14 +75,14 @@ def iter_prime_segments(rng: PrimeRange, hard_cap: int = HARD_CAP) -> Iterator[n
             f"hi={rng.hi} exceeds the configured cap {hard_cap}; "
             "pass hard_cap explicitly to allow larger ranges"
         )
-    return _segments(rng, hard_cap)
+    return _segments(rng)
 
 
-def _segments(rng: PrimeRange, hard_cap: int) -> Iterator[np.ndarray]:
+def _segments(rng: PrimeRange) -> Iterator[np.ndarray]:
     """The generator behind ``iter_prime_segments``, for a range already checked."""
     if rng.is_empty():
         return
-    base = _base_primes(math.isqrt(rng.hi - 1).bit_length(), hard_cap)
+    base = _base_primes(math.isqrt(rng.hi - 1).bit_length())
     lo = rng.lo
     while lo < rng.hi:
         end = min(lo + SEGMENT_SIZE, rng.hi)
@@ -148,9 +148,10 @@ def _scatter(mask: np.ndarray, olo: int, ps: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def _base_primes(bits: int, hard_cap: int) -> np.ndarray:
-    """The primes below 2^bits, sieved once per bound, read-only (shared, do not mutate)."""
-    arr = sieve_primes(PrimeRange(2, 1 << bits), hard_cap)
+def _base_primes(bits: int) -> np.ndarray:
+    """The primes below 2^bits, sieved once per bound, read-only (shared, do not mutate);
+    2^bits <= 2 sqrt(hi) is in the default cap for every range's hi up to 2^80."""
+    arr = sieve_primes(PrimeRange(2, 1 << bits))
     arr.setflags(write=False)
     return arr
 

@@ -47,9 +47,8 @@ single-prime factorization instead.  A block runs in int64 when its largest
 prime is at most ``_batch_limit(deg f)``; a block with a prime too large for
 int64 sums runs the same functions on an ``object`` array of Python ints.
 Apart from the excluded primes, which masks mark False, an array path raises
-at its first failing prime the error that the single-prime function raises
-there (``splits_completely`` for ``split_mask``, ``frobenius_cycle_type`` for
-cycle types): same type, same message.
+at its first failing entry, p < 2 too, the single-prime error there (masks by
+``_refuse``, cycle types by ``frobenius_cycle_type``): same type and message.
 """
 
 from __future__ import annotations
@@ -530,9 +529,7 @@ class SplittingPredicate:
                 out &= split_mask(model, primes)
             return out
         if isinstance(self.target, frozenset):
-            model = self.models[0]
-            out = np.isin(primes % model.modulus, sorted(self.target))
-            return out & ~_bad_mask(self.bad_primes, primes)
+            return _residue_mask(self.models[0], self.target, primes)
         keep = ~_bad_mask(self.bad_primes, primes)
         hits = [np.array([s == self.target for s in shapes], dtype=bool)[index]
                 for _, index, shapes in _cycle_types(self.models[0], primes[keep])]
@@ -580,6 +577,19 @@ def _bad_mask(bad: frozenset[int], primes: np.ndarray) -> np.ndarray:
     if not bad:
         return np.zeros(primes.shape, dtype=bool)
     return np.isin(primes, np.array(sorted(bad), dtype=np.int64))
+
+
+def _refuse(model: GaloisExtensionModel, p: np.ndarray, fail: np.ndarray | bool = False) -> None:
+    """Raise ``_require_unramified``'s error at the first entry of p where ``fail`` holds or p < 2."""
+    fail = fail | (p < 2)
+    if fail.any():
+        _require_unramified(model, int(p[fail][0]))
+
+
+def _residue_mask(model: AbelianModel, residues: Iterable[int], primes: np.ndarray) -> np.ndarray:
+    """Entrywise, whether p mod the modulus is in ``residues``: units, so False where p divides it."""
+    _refuse(model, primes)
+    return np.isin(primes % model.modulus, sorted(residues))
 
 
 def _mod_int(value: int, mod: np.ndarray) -> np.ndarray:
@@ -750,8 +760,8 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
     it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
     criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
-    ladder; the others are False without arithmetic.  The check for a
-    missing ramified prime runs on the whole block first.
+    ladder; the others are False without arithmetic.  Each block is first
+    refused where it fails, by ``_refuse``, with p < 2 read mod 2, not mod 0.
 
     A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
     model builds, on the first mask, the table of (D/p) over the classes
@@ -765,27 +775,21 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     """
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
-        m = model.modulus
-        mask = np.isin(primes % m, sorted(model.residues))
-        return mask & ~_bad_mask(model.bad_primes, primes)
+        return _residue_mask(model, model.residues, primes)
     mask = ~_bad_mask(model.bad_primes, primes)
     table = model._symbol_table
     if table is not None:
         for start in range(0, primes.size, _BLOCK):
             part, p = mask[start:start + _BLOCK], primes[start:start + _BLOCK]
             symbol = table[p % table.size]
-            missed = part & (symbol == 0)
-            if missed.any():
-                _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
+            _refuse(model, p, part & (symbol == 0))
             part &= symbol == 1
         return mask
     n = model.poly_degree
     binomial = not any(model.poly[1:-1])
     for start, p in _blocks(primes, n):
         part = mask[start:start + _BLOCK]
-        missed = part & (_mod_int(model.discriminant, p) == 0)
-        if missed.any():
-            _require_unramified(model, int(p[missed.argmax()]))  # raises InconsistencyError
+        _refuse(model, p, part & (_mod_int(model.discriminant, np.maximum(p, 2)) == 0))
         if n == 1:
             continue
         if binomial:
@@ -819,6 +823,7 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     A column fails where ``frobenius_cycle_type`` would raise or where its
     counts are no cycle type; the index is B if no column fails.
     """
+    low, p = p < 2, np.maximum(p, 2)  # p < 2 fails; it is computed as 2, not divided by
     n = model.poly_degree
     q = np.zeros((n, n, p.size), dtype=p.dtype)  # row i: x^(ip) mod (f, p)
     q[0, 0] = 1
@@ -834,8 +839,8 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
         if d:
             power = _matmul_mod(power, q, p)
         roots[d] = np.trace(power) % p
-    ramified = _bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0)
-    for j in np.flatnonzero((p <= n) & ~ramified):  # there tr(Q^d) mod p loses R(d)
+    refused = low | _bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0)
+    for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)
         degrees = _factor_degrees(model.poly, int(p[j]))
         roots[:, j] = [sum(k for k in degrees if d % k == 0) for d in range(1, n + 1)]
     kc = roots.copy()  # row k-1 becomes k c_k
@@ -849,7 +854,7 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     # the Frobenius order, the lcm of the factor degrees, divides galois_order
     # exactly when every factor degree does
     misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]
-    fail = ramified | broken | (counts[misfit] > 0).any(axis=0)
+    fail = refused | broken | (counts[misfit] > 0).any(axis=0)
     return counts, int(fail.argmax()) if fail.any() else p.size
 
 

@@ -107,7 +107,7 @@ def test_base_prime_recursion_depth_at_the_cap(monkeypatch):
     his = []
     sieve = primes_mod.sieve_primes
     monkeypatch.setattr(primes_mod, "sieve_primes",
-                        lambda rng, hard_cap: his.append(rng.hi) or sieve(rng, hard_cap))
+                        lambda rng: his.append(rng.hi) or sieve(rng))
     top = PrimeRange(2**40 - 100, 2**40)
     got = np.concatenate(list(primes_mod.iter_prime_segments(top))).tolist()
     assert got == [n for n in range(top.lo, top.hi) if is_prime(n)]
@@ -118,10 +118,20 @@ def test_base_prime_recursion_depth_at_the_cap(monkeypatch):
 
 
 def test_base_primes_are_shared_and_read_only():
-    first = primes_mod._base_primes(12, primes_mod.HARD_CAP)
-    assert primes_mod._base_primes(12, primes_mod.HARD_CAP) is first
+    first = primes_mod._base_primes(12)
+    assert primes_mod._base_primes(12) is first
     assert not first.flags.writeable
     assert first.tolist() == [n for n in range(2, 4096) if is_prime(n)]
+
+
+def test_one_base_prime_array_per_bound_whatever_the_cap():
+    # the cap is checked on the range alone; a raised cap must not sieve the same bounds again
+    primes_mod._base_primes.cache_clear()
+    rng = PrimeRange(2**39, 2**39 + 20)
+    first = sieve_primes(rng).tolist()
+    assert primes_mod._base_primes.cache_info().currsize == 6
+    assert sieve_primes(rng, hard_cap=2**42).tolist() == first
+    assert primes_mod._base_primes.cache_info().currsize == 6
 
 
 # windows near 2^26, 10^9, 2^34 and 2^40 - 10^4, where narrow segments strike

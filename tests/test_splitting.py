@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from chebdens import (
     splits_completely,
     splitting_field_model,
 )
-from chebdens.primes import PrimeRange, is_prime, sieve_primes
+from chebdens.primes import PrimeRange, is_prime, iter_prime_segments, sieve_primes
 from oracles import (
     binomial_splits,
     brute_force_factor_degrees,
@@ -46,6 +47,20 @@ LINEAR = splitting_field_model((3, 1), 1)         # x + 3
 X4P2 = splitting_field_model((2, 0, 0, 0, 1), 8)  # x^4 + 2
 X5M1 = splitting_field_model((-1, -1, 0, 0, 0, 1), 120)  # x^5 - x - 1
 X3P7XM2 = splitting_field_model((-2, 7, 0, 1), 6)  # x^3 + 7x - 2, which is x^3 - 2 mod 7
+
+# every array entry point: (model, (the model with one ramified prime missing from
+# bad_primes, that prime) or None for abelian models, the path)
+_ARRAY_PATHS = {
+    "split_mask_abelian": (MOD4, None, split_mask),
+    "split_mask_table": (X2P1, (splitting_field_model((-12, 0, 1), 2, [2]), 3), split_mask),
+    "split_mask_binomial": (X3M2, (splitting_field_model(X3M2.poly, 6, [2]), 3), split_mask),
+    "split_mask_ladder": (X5M1, (splitting_field_model(X5M1.poly, 120, [19]), 151), split_mask),
+    "residue_predicate": (MOD4, None, lambda model, primes: residue_class_predicate(model, [1]).mask(primes)),
+    "cycle_type_predicate": (X5M1, (splitting_field_model(X5M1.poly, 120, [19]), 151),
+                             lambda model, primes: cycle_type_predicate(model, (5,)).mask(primes)),
+    "cycle_types": (X5M1, (splitting_field_model(X5M1.poly, 120, [19]), 151),
+                    lambda model, primes: list(splitting_mod._cycle_types(model, primes))),
+}
 
 
 class TestDiscriminant:
@@ -313,7 +328,8 @@ class TestModelAgreement:
             mixed = np.concatenate([np.array([5, 13, 31], dtype=np.int64), big])
             assert [p.dtype for _, p in splitting_mod._blocks(mixed, 3)] == [dtype]
             masks = {d: cycle_type_predicate(X3M2, d).mask(mixed) for d in shapes}
-            blocks = cli_mod._scan_blocks(X3M2, lo, hi, splitting_mod.ramified_primes_in(X3M2, lo, hi))
+            segments = iter_prime_segments(PrimeRange(lo, hi))
+            blocks = cli_mod._scan_blocks(X3M2, segments, splitting_mod.ramified_primes_in(X3M2, lo, hi))
             records = [{"p": p, **recs[i]} for block, index, recs in blocks for p, i in zip(block, index)]
             results.append((mixed, split_mask(X3M2, mixed), masks, records))
         assert calls == []
@@ -374,6 +390,37 @@ class TestPathAgreement:
             path(p)
         assert type(error.value) is ValueError
         assert str(error.value) == f"p={p} is not a prime"
+
+    @pytest.mark.parametrize("p", [-3, 0, 1])
+    @pytest.mark.parametrize("name", list(_ARRAY_PATHS))
+    def test_array_paths_refuse_p_below_2(self, name, p):
+        model, _, path = _ARRAY_PATHS[name]
+        # the second block starts past 1000, above every prime these models exclude
+        window = sieve_primes(PrimeRange(1000, 100_000)).tolist()
+        assert len(window) > splitting_mod._BLOCK
+        for primes in ([p], [5, p, 7], window + [p]):
+            error = _array_error(path, model, primes)
+            assert (type(error), str(error)) == (ValueError, f"p={p} is not a prime")
+
+    @pytest.mark.parametrize("p", [-3, 0, 1])
+    @pytest.mark.parametrize("name", [name for name, (_, missing, _) in _ARRAY_PATHS.items() if missing])
+    def test_array_paths_refuse_in_array_order(self, name, p):
+        # a ramified prime missing from bad_primes, before and after the entry p < 2
+        _, (model, q), path = _ARRAY_PATHS[name]
+        for primes, first in (([5, q, p, 7], q), ([5, p, q, 7], p)):
+            with pytest.raises(Exception) as scalar:
+                splits_completely(model, first)
+            error = _array_error(path, model, primes)
+            assert (type(error), str(error)) == (type(scalar.value), str(scalar.value))
+
+
+def _array_error(path, model, primes: list[int]) -> Exception:
+    """The error that ``path`` raises on ``primes``, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as error:
+            path(model, np.array(primes, dtype=np.int64))
+    return error.value
 
 
 def _window_primes(lo: int, count: int) -> list[int]:
