@@ -209,8 +209,19 @@ def _whole(value: Fraction) -> int:
     return value.numerator
 
 
+# bits a tower operation may build, estimated as r * t.bit_length(): about 3 s and
+# 5 MB of output at the budget, while r = 10^9 and t = 51 840 would build 2 GB integers
+_TOWER_BITS = 1 << 22
+
+
 def _tower(m: Fraction, t: Fraction, r: Fraction) -> calculus.TowerSpec:
-    return calculus.TowerSpec(_whole(m), _whole(t), _whole(r))
+    """The tower of a calculus operation, refused past ``_TOWER_BITS`` before any power is taken."""
+    spec = calculus.TowerSpec(_whole(m), _whole(t), _whole(r))
+    bits = spec.r * spec.t.bit_length()
+    if bits > _TOWER_BITS:
+        raise ResourceLimitError(f"a tower with t = {spec.t} and r = {spec.r} needs about {bits} bits, "
+                                 f"over the budget of {_TOWER_BITS}")
+    return spec
 
 
 def _inclusion_exclusion(args) -> Fraction:

@@ -139,6 +139,38 @@ def _validate_s(s) -> None:
         raise ValueError(f"s must exceed 1, got {s}")
 
 
+# bits of all (N, D) pairs ``_exact_xi`` keeps; past it the least recently used key goes
+_XI_MEMO_BITS = 1 << 26
+# (subject, s) -> {k: (N, D) of the sum over the first k members}, least recently used key first
+_xi_memo: dict[tuple, dict[int, tuple[int, int]]] = {}
+
+
+def _exact_xi(subject: PrimeSubject, s: int, members: list[int]) -> tuple[int, int]:
+    """(N, D) in lowest terms with N/D the sum of p^(-s) over the sorted ``members``.
+
+    For a model or predicate subject the longest prefix of the members already
+    summed at this s is extended by a product tree over the rest alone: the
+    members below a cutoff are a prefix of those below any larger one.  One
+    merge N = N0*Dt + Nt*D0, D = D0*Dt gives the pair the full tree would, since
+    D is the product of the p^s in any order and N = D * xi; the p^s are pairwise
+    coprime, so the pair stays reduced.  Other subjects are not memoized: a
+    callable may be impure and collections are unhashable or mutable.
+    """
+    if not isinstance(subject, (SplittingPredicate, AbelianModel, SplittingFieldModel)):
+        return _reciprocal_sum([p**s for p in members])
+    key = (subject, s)
+    sums = _xi_memo.pop(key, {0: (0, 1)})
+    start = max(k for k in sums if k <= len(members))
+    n0, d0 = sums[start]
+    nt, dt = _reciprocal_sum([p**s for p in members[start:]])
+    pair = sums[len(members)] = (n0 * dt + nt * d0, d0 * dt)
+    _xi_memo[key] = sums
+    while sum(n.bit_length() + d.bit_length() for held in _xi_memo.values()
+              for n, d in held.values()) > _XI_MEMO_BITS:
+        del _xi_memo[next(iter(_xi_memo))]
+    return pair
+
+
 def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     """Truncated xi_A(s): sum of p^(-s) over member primes below the cutoff.
 
@@ -146,6 +178,8 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     rational arithmetic; otherwise float64 in ascending order.  The exact sum
     is built already reduced: the members are distinct sieve primes, so their
     powers p^s are pairwise coprime and the product-tree sum is in lowest terms.
+    For a model or predicate, an exact sum extends the longest prefix of its
+    members already summed at the same s in this process (``_exact_xi``).
     """
     _validate_s(s)
     if cutoff < 2:
@@ -153,7 +187,7 @@ def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:
     primes, mask, _ = _classify(subject, [int(cutoff)])
     members = primes[mask]
     if isinstance(s, Integral) or (isinstance(s, Fraction) and s.denominator == 1):
-        value: float | Fraction = _coprime_fraction(*_reciprocal_sum([p ** int(s) for p in members.tolist()]))
+        value: float | Fraction = _coprime_fraction(*_exact_xi(subject, int(s), members.tolist()))
     else:
         value = _xi_sums(members.astype(np.float64), [None], [float(s)])[0][0]
     return PartialZetaValue(s, int(cutoff), value)

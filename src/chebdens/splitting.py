@@ -524,10 +524,7 @@ class SplittingPredicate:
         """Vectorized membership over an array of primes; excluded primes give False."""
         primes = np.asarray(primes, dtype=np.int64)
         if self.target is None:
-            out = np.ones(primes.shape, dtype=bool)
-            for model in self.models:
-                out &= split_mask(model, primes)
-            return out
+            return _intersection_mask(self.models, primes)
         if isinstance(self.target, frozenset):
             return _residue_mask(self.models[0], self.target, primes)
         keep = ~_bad_mask(self.bad_primes, primes)
@@ -561,7 +558,8 @@ def residue_class_predicate(model: AbelianModel, residues: Iterable[int]) -> Spl
 def in_progression(pred: SplittingPredicate, p: int) -> bool:
     """Scalar membership of p in the generalized progression defined by ``pred``."""
     if pred.target is None:
-        return all(splits_completely(model, p) for model in pred.models)
+        # every model is asked, so one that refuses p raises whatever the others answer
+        return all([splits_completely(model, p) for model in pred.models])
     if isinstance(pred.target, frozenset):
         model = pred.models[0]
         _require_unramified(model, p)
@@ -799,6 +797,38 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
             # f | x^p - x, valid since f mod p is squarefree
             part[part] = (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
     return mask
+
+
+def _intersection_mask(models: Sequence[GaloisExtensionModel], primes: np.ndarray) -> np.ndarray:
+    """Conjunction of the models' ``split_mask``s over a 1-D array of primes.
+
+    Where some model refuses an entry, the earliest such entry of the array
+    raises the error of the first model that refuses it: a refusal cuts the
+    array there, so later models see only the entries before it.
+    """
+    out = np.ones(primes.shape, dtype=bool)
+    end, error = primes.size, None
+    for model in models:
+        try:
+            out[:end] &= split_mask(model, primes[:end])
+        except ValueError as exc:  # raised at the model's first refused entry
+            end, error = _first_refusal(model, primes[:end]), exc
+    if error is not None:
+        raise error
+    return out
+
+
+def _first_refusal(model: GaloisExtensionModel, primes: np.ndarray) -> int:
+    """Index of the first entry that ``split_mask`` refuses, on an array it refuses."""
+    lo, hi = 0, primes.size  # it refuses primes[:hi] but not primes[:lo]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            split_mask(model, primes[:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:

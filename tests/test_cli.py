@@ -378,6 +378,26 @@ class TestCalculus:
         code, out, _ = run_cli(capsys, "calculus", "compositum-degree", "1", "2", "3", "2")
         assert (code, out) == (0, '{"operation": "compositum-degree", "result": 4}\n')
 
+    @pytest.mark.parametrize("argv", [
+        ("tower-theta", "1/2", "1", "51840", "1000000000"),
+        ("disjoint-union", "1", "51840", "1000000000"),
+        ("compositum-degree", "1", "51840", "1000000000", "3"),
+    ])
+    def test_tower_past_the_bit_budget_is_refused(self, capsys, monkeypatch, argv):
+        # r * t.bit_length() = 1.6e10 bits, about 2 GB per integer if it were built
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "calculus", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == ("error: a tower with t = 51840 and r = 1000000000 needs about 16000000000 "
+                       f"bits, over the budget of {cli_mod._TOWER_BITS}\n")
+        # the budget itself is allowed: t = 2 and r = 20000 need 40000 bits
+        monkeypatch.setattr(cli_mod, "_TOWER_BITS", 40000)
+        assert run_cli(capsys, "calculus", "disjoint-union", "1", "2", "20000")[0] == 0
+        code, out, err = run_cli(capsys, "calculus", "disjoint-union", "1", "2", "20001")
+        assert (code, out, err) == (1, "", "error: a tower with t = 2 and r = 20001 needs about "
+                                           "40002 bits, over the budget of 40000\n")
+
     def test_long_ints_keep_their_places(self, capsys):
         # sorted keys put the long ints in another order than the payload's
         payload = {"b": [3**9000, -(2**7000), 1], "a": {"z": 5**6000, "y": Fraction(1, 3)},

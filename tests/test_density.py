@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from chebdens import (
     chebotarev_reference,
     cycle_type_predicate,
     dirichlet_density_estimate,
+    intersect_splitting,
     lift_density,
     member_mask,
     natural_density_estimate,
@@ -42,6 +44,7 @@ SMALL_PRIMES = odd_bytearray_sieve(2000)
 MOD4 = abelian_model(4, [1])
 ALL_PRIMES = abelian_model(1, [1])
 X3M2 = splitting_field_model((-2, 0, 0, 1), 6)
+MOD4_X3M2 = intersect_splitting([MOD4, X3M2])
 
 
 class TestPartialZeta:
@@ -112,6 +115,40 @@ class TestPartialZeta:
 
     def test_monotone_in_cutoff(self):
         assert partial_zeta(ALL_PRIMES, 2, 100).value <= partial_zeta(ALL_PRIMES, 2, 1000).value
+
+    @given(st.sampled_from([MOD4, X3M2, MOD4_X3M2]), st.sampled_from([2, 3, Fraction(3)]),
+           st.lists(st.integers(2, 5 * 10**4), min_size=1, max_size=4))
+    @example(MOD4, 3, [5 * 10**4, 10**4, 3 * 10**4, 5 * 10**4])
+    @example(X3M2, Fraction(3), [2, 7, 31, 30])
+    @example(MOD4_X3M2, 2, [10**4, 10**4 + 1, 5 * 10**4])
+    @settings(max_examples=25, deadline=None)
+    def test_prefix_reuse_matches_slow_oracle_and_fresh_memo(self, subject, s, cutoffs):
+        # the memo persists across calls and examples, so each call may extend any earlier prefix
+        for cutoff in cutoffs:
+            got = partial_zeta(subject, s, cutoff).value
+            with mock.patch.object(density_mod, "_xi_memo", {}):
+                fresh = partial_zeta(subject, s, cutoff).value
+            want = per_cutoff_partial_zeta(subject, s, cutoff)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert (fresh.numerator, fresh.denominator) == (want.numerator, want.denominator)
+
+    def test_prefix_memo_holds_models_only_and_stays_under_its_cap(self, primes_1e4):
+        want, mask = partial_zeta(MOD4, 2, 10**4).value, member_mask(MOD4, primes_1e4)
+        with mock.patch.object(density_mod, "_xi_memo", {}):
+            for subject in ([int(p) for p in primes_1e4[mask].tolist()], mask, lambda p: p % 4 == 1):
+                assert partial_zeta(subject, 2, 10**4).value == want
+            assert density_mod._xi_memo == {}
+        # 20 000 bits hold the sums of a few hundred members at a time
+        cap = 20_000
+        with mock.patch.object(density_mod, "_xi_memo", {}), \
+                mock.patch.object(density_mod, "_XI_MEMO_BITS", cap):
+            for subject, s, cutoff in [(MOD4, 2, 3000), (X3M2, 3, 10**4), (MOD4, 2, 5000),
+                                       (MOD4, 3, 10**4), (MOD4, 2, 2000), (MOD4_X3M2, 2, 10**4)]:
+                got = partial_zeta(subject, s, cutoff).value
+                assert got == per_cutoff_partial_zeta(subject, s, cutoff)
+                held = [pair for sums in density_mod._xi_memo.values() for pair in sums.values()]
+                assert sum(n.bit_length() + d.bit_length() for n, d in held) <= cap
+            assert density_mod._xi_memo  # the last key fits under the cap and is kept
 
 
 class TestMemberMask:

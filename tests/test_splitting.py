@@ -861,6 +861,34 @@ class TestPredicates:
         with pytest.raises(ValueError):
             intersect_splitting([])
 
+    def test_intersection_refuses_whatever_the_model_order(self):
+        # each model misses a prime dividing its discriminant from its bad primes:
+        # x^2 - 12 and x^3 - 2 refuse 3, x^2 - 5 refuses 5; x^2 + 1 refuses none
+        x2p1 = splitting_field_model((1, 0, 1), 2, [2])
+        x2m12 = splitting_field_model((-12, 0, 1), 2, [2])
+        x3m2 = splitting_field_model(X3M2.poly, 6, [2])
+        x2m5 = splitting_field_model((-5, 0, 1), 2, [2])
+        # past one block, so the earliest refused entry is searched across blocks
+        window = sieve_primes(PrimeRange(1000, 100_000)).tolist()
+        cases = [
+            ([x2p1, x2m12], [3], 3),
+            ([x2p1, x2m12], [5, 0, 3], 0),
+            ([x2p1, x2m12], [5, 3, 0], 3),
+            ([x3m2, x2m5], [7, 5, 3, 11], 5),  # the later model fails at the earlier entry
+            ([x3m2, x2m5], [7, 3, 5, 11], 3),
+            ([x3m2, x2m5], window + [5, 3], 5),
+        ]
+        for models, primes, first in cases:
+            want = ((ValueError, f"p={first} is not a prime") if first < 2 else (InconsistencyError,
+                    f"f mod {first} is not squarefree; the excluded prime set of the model is incomplete"))
+            for order in (models, models[::-1]):
+                pred = intersect_splitting(order)
+                error = _array_error(lambda _, ps: pred.mask(ps), None, primes)
+                assert (type(error), str(error)) == want
+                with pytest.raises(ValueError) as single:
+                    pred(first)
+                assert (type(single.value), str(single.value)) == want
+
     def test_intersection_mask_is_conjunction(self, primes_1e4):
         models = [splitting_field_model((-d, 0, 1), 2) for d in (2, 3)]
         pred = intersect_splitting(models)
