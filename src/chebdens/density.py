@@ -164,11 +164,15 @@ def _exact_xi(subject: PrimeSubject, s: int, members: list[int]) -> tuple[int, i
     n0, d0 = sums[start]
     nt, dt = _reciprocal_sum([p**s for p in members[start:]])
     pair = sums[len(members)] = (n0 * dt + nt * d0, d0 * dt)
-    _xi_memo[key] = sums
-    while sum(n.bit_length() + d.bit_length() for held in _xi_memo.values()
-              for n, d in held.values()) > _XI_MEMO_BITS:
-        del _xi_memo[next(iter(_xi_memo))]
+    if _held_bits(sums) <= _XI_MEMO_BITS:  # a key past the cap alone evicts no other
+        _xi_memo[key] = sums
+        while sum(map(_held_bits, _xi_memo.values())) > _XI_MEMO_BITS:
+            del _xi_memo[next(iter(_xi_memo))]
     return pair
+
+
+def _held_bits(sums: dict[int, tuple[int, int]]) -> int:
+    return sum(n.bit_length() + d.bit_length() for n, d in sums.values())
 
 
 def partial_zeta(subject: PrimeSubject, s, cutoff: int) -> PartialZetaValue:

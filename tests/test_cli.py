@@ -383,7 +383,7 @@ class TestCalculus:
         ("disjoint-union", "1", "51840", "1000000000"),
         ("compositum-degree", "1", "51840", "1000000000", "3"),
     ])
-    def test_tower_past_the_bit_budget_is_refused(self, capsys, monkeypatch, argv):
+    def test_tower_past_the_bit_budget_is_refused(self, capsys, argv):
         # r * t.bit_length() = 1.6e10 bits, about 2 GB per integer if it were built
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "calculus", *argv)
@@ -391,7 +391,9 @@ class TestCalculus:
         assert (code, out) == (1, "")
         assert err == ("error: a tower with t = 51840 and r = 1000000000 needs about 16000000000 "
                        f"bits, over the budget of {cli_mod._TOWER_BITS}\n")
-        # the budget itself is allowed: t = 2 and r = 20000 need 40000 bits
+
+    def test_tower_at_the_bit_budget_runs(self, capsys, monkeypatch):
+        # t = 2 and r = 20000 need 40000 bits
         monkeypatch.setattr(cli_mod, "_TOWER_BITS", 40000)
         assert run_cli(capsys, "calculus", "disjoint-union", "1", "2", "20000")[0] == 0
         code, out, err = run_cli(capsys, "calculus", "disjoint-union", "1", "2", "20001")

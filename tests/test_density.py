@@ -148,7 +148,9 @@ class TestPartialZeta:
                 assert got == per_cutoff_partial_zeta(subject, s, cutoff)
                 held = [pair for sums in density_mod._xi_memo.values() for pair in sums.values()]
                 assert sum(n.bit_length() + d.bit_length() for n, d in held) <= cap
-            assert density_mod._xi_memo  # the last key fits under the cap and is kept
+                if (subject, s) == (MOD4, 3):  # too large to keep, so it evicts nothing
+                    assert list(density_mod._xi_memo) == [(MOD4, 2)]
+            assert list(density_mod._xi_memo) == [(MOD4_X3M2, 2)]
 
 
 class TestMemberMask:
