@@ -284,14 +284,25 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
+# digits of n a bounds report may materialize: about 1 s and 1 MB of output at the
+# budget, while --materialize-limit 10^9 would have E6 (m = 1, omega = 1/2) write
+# its 8.7 * 10^6-digit n, 9.3 MB, in about 23 s
+_MATERIALIZE_DIGITS = 10**6
+
+
 def _cmd_bounds(args) -> int:
+    """The pipeline report; an n past ``_MATERIALIZE_DIGITS`` that the limit asks for is refused,
+    before its factorial is taken."""
     report = csp_bound_pipeline(
         args.type,
         args.m,
         args.omega,
         rho=args.rho,
-        materialize_limit=args.materialize_limit,
+        materialize_limit=min(args.materialize_limit, _MATERIALIZE_DIGITS),
     )
+    if report.n_exact is None and report.n_digits <= args.materialize_limit:
+        raise ResourceLimitError(f"materializing n of about {report.n_digits} digits is over the "
+                                 f"budget of {_MATERIALIZE_DIGITS}")
     if args.rho == 1:
         print(
             "warning: rho(d) left at its default of 1; n omits the rank-only "

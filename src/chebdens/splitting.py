@@ -41,11 +41,14 @@ Frobenius map on GF(p)[x]/(f), a single prime's cycle type comes from
 distinct-degree factorization, which reads x^(p^d) for d >= 2 off the rows
 of Q, and the engine's from traces: tr(Q^d) mod p is the number
 R(d) = sum_{k | d} k c_k of roots of f in GF(p^d) whenever p > deg f, and
-Moebius inversion gives the counts c_k of degree-k factors; the engine
-sends a prime p <= deg f (at most 2, 3, 5 and 7 for deg f <= 8) to the
-single-prime factorization instead.  A block runs in int64 when its largest
-prime is at most ``_batch_limit(deg f)``; a block with a prime too large for
-int64 sums runs the same functions on an ``object`` array of Python ints.
+Moebius inversion gives the counts c_k of degree-k factors.  The traces
+are read off the model where it allows: a quadratic's symbol table, the
+monomial Q of x^n - a, and otherwise the powers of Q up to ceil(n/2)
+(``_block_cycle_counts``).  The engine sends a prime p <= deg f (at most
+2, 3, 5 and 7 for deg f <= 8) to the single-prime factorization instead.
+A block runs in int64 when its largest prime is at most
+``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
+the same functions on an ``object`` array of Python ints.
 Apart from the excluded primes, which masks mark False, an array path raises
 at its first failing entry, p < 2 too, the single-prime error there (masks by
 ``_refuse``, cycle types by ``frobenius_cycle_type``): same type and message.
@@ -663,38 +666,47 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
     return out
 
 
+def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """c = a^(p // n) mod p for f = x^n - a, so that x^p = c x^(p % n) mod (f, p).
+
+    x^n = a in GF(p)[x]/(f), squarefree or not.  The ladder's steps multiply
+    c^2 by a where the bit is set and by 1 elsewhere; with a taken as its
+    signed residue, small when the coefficient is, one ``% p`` ends each
+    step (see ``_batch_limit`` for the bound).
+    """
+    n = len(poly) - 1
+    a = _mod_int(-poly[0], p)
+    a = np.where(2 * a > p, a - p, a)
+    wide = p.dtype != object and int(abs(a).max()) * (int(p.max()) - 1) ** 2 >= 1 << 63
+    e, am1 = p // n, a - 1
+    c, m = np.ones_like(p), np.empty_like(p)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        np.right_shift(e, bit, out=m)
+        m &= 1
+        m *= am1
+        m += 1  # a where the bit is set, 1 elsewhere
+        c *= c
+        if wide:
+            c %= p
+        c *= m
+        c %= p
+    return c
+
+
 def _x_pow_p(poly: Sequence[int], p: np.ndarray, red: np.ndarray | None = None) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
-    When f is x^n - a, read from its coefficients, x^n = a in
-    GF(p)[x]/(f), squarefree or not, so x^p is the monomial
-    a^(p // n) x^(p % n), and only the power of a needs a ladder.  Its
-    steps multiply c^2 by a where the bit is set and by 1 elsewhere; with a
-    taken as its signed residue, small when the coefficient is, one ``% p``
-    ends each step (see ``_batch_limit`` for the bound).  For p = 1 (mod n)
-    the monomial is a^((p - 1) / n) x, which is x exactly when a is an n-th
-    power residue mod p.  Any other f reads the reduction rows ``red`` of
-    the columns of ``p``, built here when not given.
+    When f is x^n - a, read from its coefficients, x^p is the monomial
+    a^(p // n) x^(p % n), and only the power of a needs a ladder
+    (``_binomial_power``).  For p = 1 (mod n) the monomial is
+    a^((p - 1) / n) x, which is x exactly when a is an n-th power residue
+    mod p.  Any other f reads the reduction rows ``red`` of the columns of
+    ``p``, built here when not given.
     """
     n = len(poly) - 1
     r = np.zeros((n, p.size), dtype=p.dtype)
     if not any(poly[1:-1]):
-        a = _mod_int(-poly[0], p)
-        a = np.where(2 * a > p, a - p, a)
-        wide = p.dtype != object and int(abs(a).max()) * (int(p.max()) - 1) ** 2 >= 1 << 63
-        e, am1 = p // n, a - 1
-        c, m = np.ones_like(p), np.empty_like(p)
-        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            np.right_shift(e, bit, out=m)
-            m &= 1
-            m *= am1
-            m += 1  # a where the bit is set, 1 elsewhere
-            c *= c
-            if wide:
-                c %= p
-            c *= m
-            c %= p
-        r[(p % n).astype(np.intp), np.arange(p.size)] = c
+        r[(p % n).astype(np.intp), np.arange(p.size)] = _binomial_power(poly, p)
         return r
     if red is None:
         red = _reduction_rows(poly, p)
@@ -832,12 +844,103 @@ def _first_refusal(model: GaloisExtensionModel, primes: np.ndarray) -> int:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Per-column product of (n, n) matrices mod p, shape (n, n, B)."""
-    out = np.zeros_like(a)
-    for j in range(a.shape[1]):
-        out += a[:, j, None] * b[j]
+    """Per-column product of (n, n) matrices mod p, shape (n, n, B).
+
+    Row i sums its n products a_ij b_j before one ``% p``, a row at a time,
+    so the temporaries stay (n, B).
+    """
+    out = np.empty_like(a)
+    for i in range(a.shape[0]):
+        row = a[i, 0] * b[0]
+        for j in range(1, a.shape[1]):
+            row += a[i, j] * b[j]
+        out[i] = row
     out %= p
     return out
+
+
+def _quadratic_traces(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """tr(Q) and tr(Q^2) of a quadratic f from its ``_quadratic_symbols`` table, shape (2, B).
+
+    f has 1 + (D/p) roots in GF(p) and both of its roots in GF(p^2).  The
+    symbol is 0 where p divides D, a column the caller refuses.
+    """
+    roots = np.full((2, p.size), 2, dtype=np.int64)
+    roots[0] = 1 + table[(p % table.size).astype(np.intp)]  # object blocks hold Python ints
+    return roots
+
+
+def _binomial_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """tr(Q^d) mod p for d = 1..n of f = x^n - a, n >= 2, shape (n, B), from Q's monomial rows.
+
+    With x^p = c x^rho, rho = p mod n (``_binomial_power``), and x^n = a,
+    row i of Q is w_i x^(i rho mod n) with w_i = c^i a^(i rho // n): Q
+    moves the basis along the permutation i -> i rho mod n, scaled by w_i.
+    A cycle C of length L comes back after L steps scaled by the product
+    P_C of its w_i, so tr(Q^d) is the sum of L P_C^(d/L) over the cycles
+    whose length divides d.  Columns are grouped by rho; a rho not prime to
+    n means p | n, where p ramifies, and those columns stay 0 for the
+    caller to refuse.
+    """
+    n = len(poly) - 1
+    a, c = _mod_int(-poly[0], p), _binomial_power(poly, p)
+    rho = (p % n).astype(np.intp)
+    roots = np.zeros((n, p.size), dtype=np.int64)
+    for r in range(1, n):
+        if math.gcd(r, n) != 1:
+            continue
+        cols = np.flatnonzero(rho == r)
+        pc, ac, cc = p[cols], a[cols], c[cols]
+        w = [np.ones_like(pc)]
+        for i in range(1, n):  # i r // n grows by 0 or 1 from i - 1
+            step = w[-1] * cc % pc
+            w.append(step * ac % pc if i * r // n > (i - 1) * r // n else step)
+        sums = np.zeros((n, cols.size), dtype=p.dtype)
+        seen: set[int] = set()
+        for start in range(n):
+            if start in seen:
+                continue
+            cycle = [start]
+            while (i := cycle[-1] * r % n) != start:
+                cycle.append(i)
+            seen.update(cycle)
+            length, product = len(cycle), reduce(lambda x, y: x * y % pc, [w[i] for i in cycle])
+            power = product
+            for d in range(length, n + 1, length):
+                sums[d - 1] += length * power
+                power = power * product % pc
+        roots[:, cols] = sums % pc
+    return roots
+
+
+def _matrix_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """tr(Q^d) mod p for d = 1..n, shape (n, B), from the powers Q^1..Q^h alone, h = ceil(n/2).
+
+    Q's row i is x^(ip) mod (f, p).  For d > h, tr(Q^d) = tr(Q^h Q^(d-h))
+    = sum_ij (Q^h)_ij (Q^(d-h))_ji: each sum over j adds n products before
+    its ``% p``, as in ``_matmul_mod``, and the sum over i adds n residues.
+    """
+    n = len(poly) - 1
+    q = np.zeros((n, n, p.size), dtype=p.dtype)
+    q[0, 0] = 1
+    if n > 1:
+        # Q rows 2..n-1 read the reduction rows, so only n > 2 builds them here
+        red = _reduction_rows(poly, p) if n > 2 else None
+        q[1] = _x_pow_p(poly, p, red)
+        for i in range(2, n):
+            q[i] = _block_mulmod(q[i - 1], q[1], red, p)
+    powers = [q]
+    half = (n + 1) // 2
+    for _ in range(1, half):
+        powers.append(_matmul_mod(powers[-1], q, p))
+    roots = np.empty((n, p.size), dtype=np.int64)
+    for d in range(1, n + 1):
+        if d <= half:
+            roots[d - 1] = np.trace(powers[d - 1]) % p
+        else:
+            rows = (powers[half - 1] * powers[d - half - 1].swapaxes(0, 1)).sum(axis=1) % p
+            roots[d - 1] = rows.sum(axis=0) % p
+    return roots
 
 
 def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.ndarray, int]:
@@ -846,7 +949,17 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     R(d) = sum_{k | d} k c_k, the number of roots of f in GF(p^d), is
     tr(Q^d) mod p: on a factor GF(p^k) of GF(p)[x]/(f) the Frobenius permutes
     a normal basis cyclically, so Q^d has trace k if k | d and 0 otherwise.
-    For p > n that residue is R(d) itself, and k c_k = R(k) minus the terms
+    Three routes give those traces, read off the model's structure:
+
+    * a quadratic with a ``_symbol_table`` reads R(1) = 1 + (D/p) off it,
+      and R(2) = 2 (``_quadratic_traces``);
+    * x^n - a, read from f's coefficients, has a monomial Q, whose traces
+      are sums over the cycles of a permutation of the basis
+      (``_binomial_traces``);
+    * any other f forms Q^1..Q^ceil(n/2) and takes each later trace as the
+      trace of a product of two of them (``_matrix_traces``).
+
+    For p > n the residue is R(d) itself, and k c_k = R(k) minus the terms
     j c_j of the proper divisors j of k (Moebius inversion).  A column with
     p <= n takes its degrees from ``_factor_degrees`` instead.
 
@@ -855,20 +968,12 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     """
     low, p = p < 2, np.maximum(p, 2)  # p < 2 fails; it is computed as 2, not divided by
     n = model.poly_degree
-    q = np.zeros((n, n, p.size), dtype=p.dtype)  # row i: x^(ip) mod (f, p)
-    q[0, 0] = 1
-    if n > 1:
-        # Q rows 2..n-1 read the reduction rows, so only n > 2 builds them here
-        red = _reduction_rows(model.poly, p) if n > 2 else None
-        q[1] = _x_pow_p(model.poly, p, red)
-        for i in range(2, n):
-            q[i] = _block_mulmod(q[i - 1], q[1], red, p)
-    roots = np.empty((n, p.size), dtype=np.int64)
-    power = q
-    for d in range(n):
-        if d:
-            power = _matmul_mod(power, q, p)
-        roots[d] = np.trace(power) % p
+    if model._symbol_table is not None:
+        roots = _quadratic_traces(model._symbol_table, p)
+    elif n > 1 and not any(model.poly[1:-1]):
+        roots = _binomial_traces(model.poly, p)
+    else:
+        roots = _matrix_traces(model.poly, p)
     refused = low | _bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0)
     for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)
         degrees = _factor_degrees(model.poly, int(p[j]))
@@ -880,7 +985,7 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     counts = kc // weights
     # every cycle type has R(d) <= n; a larger residue is checked by itself,
     # since it could wrap the int64 sums
-    broken = ((roots > n) | (kc % weights != 0) | (kc < 0)).any(axis=0) | (kc.sum(axis=0) != n)
+    broken = ((roots > n) | (counts * weights != kc) | (kc < 0)).any(axis=0) | (kc.sum(axis=0) != n)
     # the Frobenius order, the lcm of the factor degrees, divides galois_order
     # exactly when every factor degree does
     misfit = [model.galois_order % k != 0 for k in range(1, n + 1)]

@@ -475,6 +475,30 @@ class TestBounds:
         assert "invalid" in err
 
 
+    @pytest.mark.parametrize("label, digits", [("D6", 3581494), ("E6", 8665734)])
+    def test_materializing_past_the_digit_budget_is_refused(self, capsys, label, digits):
+        # n = (nu!)^d of millions of digits: refused before the factorial is taken
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bounds", "--type", label, "--m", "1", "--omega", "1/2",
+                                 "--materialize-limit", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: materializing n of about {digits} digits is over the budget of "
+                       f"{cli_mod._MATERIALIZE_DIGITS}\n")
+
+    def test_materializing_at_the_digit_budget_runs(self, capsys, monkeypatch):
+        # A1 at omega = 1/2 has n = 13! = 6227020800, 10 digits
+        argv = ("bounds", "--type", "A1", "--m", "1", "--omega", "1/2", "--materialize-limit")
+        monkeypatch.setattr(cli_mod, "_MATERIALIZE_DIGITS", 10)
+        code, out, _ = run_cli(capsys, *argv, "10")
+        assert (code, json.loads(out)["n_exact"]) == (0, "6227020800")
+        monkeypatch.setattr(cli_mod, "_MATERIALIZE_DIGITS", 9)
+        assert run_cli(capsys, *argv, "10") == (
+            1, "", "error: materializing n of about 10 digits is over the budget of 9\n")
+        # a limit that does not ask for n keeps the factored report
+        code, out, _ = run_cli(capsys, *argv, "9")
+        assert (code, json.loads(out)["n_exact"], json.loads(out)["n_digits"]) == (0, None, 10)
+
     def test_theta_beyond_int_str_limit(self, capsys):
         # theta's numerator for E6 at omega = 1 has ~169k digits
         code, out, _ = run_cli(capsys, "bounds", "--type", "E6", "--m", "1", "--omega", "1")
@@ -606,6 +630,21 @@ def test_verify_subcommand_runs_all_criteria(capsys):
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_scans_leave_numpy_ma_unimported():
+    # a plain np.unique imports numpy.ma, which costs a fresh process about 8 ms and 1 MB
+    code = """
+import contextlib, io, sys
+from chebdens import cli
+codes = []
+for poly, order in (("1,0,1", "2"), ("-2,0,0,1", "6"), ("-1,-1,0,0,0,1", "120")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["frob", "--poly=" + poly, "--galois-order", order, "--hi", "3000"]))
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert (proc.stdout, proc.stderr) == ("[0, 0, 0] False\n", "")
 
 
 def _parser_options(parser: argparse.ArgumentParser) -> dict:

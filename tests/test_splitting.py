@@ -528,17 +528,18 @@ class TestBatchedEngineDifferential:
             assert seen.tolist() == clean[:2].tolist() and counts.shape == (n, seen.size)
 
     def test_counts_that_are_no_cycle_type_raise(self, monkeypatch):
-        # x^p zeroed in the column of p = 11 leaves Q = diag(1, 0, 0), whose
-        # traces claim one root of x^3 - 2 in every GF(11^d): no cycle type,
-        # so the true one, {1,2}, comes from frobenius_cycle_type
-        x_pow_p = splitting_mod._x_pow_p
+        # x^p = c x^(p mod 3) zeroed in the column of p = 11 leaves
+        # Q = diag(1, 0, 0), whose traces claim one root of x^3 - 2 in every
+        # GF(11^d): no cycle type, so the true one, {1,2}, comes from
+        # frobenius_cycle_type
+        binomial_power = splitting_mod._binomial_power
 
         def corrupted(*args):
-            r = x_pow_p(*args)
-            r[:, 2] = 0
-            return r
+            c = binomial_power(*args)
+            c[2] = 0
+            return c
 
-        monkeypatch.setattr(splitting_mod, "_x_pow_p", corrupted)
+        monkeypatch.setattr(splitting_mod, "_binomial_power", corrupted)
         primes = np.array([5, 7, 11, 13, 17], dtype=np.int64)
         seen, counts, error = _gathered_cycle_counts(X3M2, primes)
         assert type(error) is InvariantViolationError
@@ -658,6 +659,101 @@ class TestBatchedEngineDifferential:
             with pytest.raises(InconsistencyError) as error:
                 split_mask(model, np.array(primes, dtype=np.int64))
             assert str(error.value) == str(scalar_error.value)
+
+
+def _binomial(n: int, a: int) -> tuple[int, ...]:
+    """x^n - a, constant term first."""
+    return (-a,) + (0,) * (n - 1) + (1,)
+
+
+class TestCycleTypeRoutes:
+    """Each route of ``_block_cycle_counts`` against ``frobenius_cycle_type``.
+
+    A quadratic with a symbol table reads its traces off the table, x^n - a
+    off its monomial Q, and any other f off the powers Q^1..Q^ceil(n/2).
+    """
+
+    @staticmethod
+    def _route(model) -> str:
+        if model._symbol_table is not None:
+            return "table"
+        return "binomial" if not any(model.poly[1:-1]) else "matrix"
+
+    @given(
+        st.one_of(
+            # quadratics x^2 + bx + c of the table, odd D (p = 2 unramified) included
+            st.tuples(st.integers(-3000, 3000), st.integers(-60, 60)).map(lambda cb: cb + (1,)),
+            # x^n - a with a of either sign and |a| > 1
+            st.tuples(st.sampled_from([3, 4, 6, 8]), st.integers(2, 10**6), st.sampled_from([1, -1]))
+            .map(lambda t: _binomial(t[0], t[1] * t[2])),
+            # any other f
+            st.integers(2, 8).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+            .map(lambda lower: tuple(lower) + (1,)).filter(lambda f: any(f[1:-1])),
+        ),
+        st.integers(1, 10**5),
+        st.integers(1, 10**5),
+    )
+    @example((-1, 0, 1), 1, 1)  # x^2 - 1, D = 4 a square: every odd prime splits
+    @example((-1, -1, 1), 1, 1)  # x^2 - x - 1, D = 5: p = 2 reads table class 2
+    @example((-25000, 1, 1), 1, 1)  # x^2 + x - 25000, D = _SYMBOL_LIMIT + 1: no table
+    @example(_binomial(3, -2), 1, 1)  # x^3 + 2
+    @example(_binomial(4, -3), 1, 1)  # x^4 + 3: 3 is a column with p <= n
+    @example(_binomial(6, -5), 1, 1)  # x^6 + 5: 5 is a column with p <= n
+    @example(_binomial(8, 3), 1, 1)  # x^8 - 3: 5 and 7 are columns with p <= n
+    @example((-1, -1, 0, 0, 0, 0, 0, 1), 1, 1)  # x^7 - x - 1
+    @settings(max_examples=40, deadline=None)
+    def test_each_route_matches_frobenius_cycle_type(self, poly, below, above):
+        """Primes from 2 up, so every p <= n, and on both sides of ``_batch_limit(n)``.
+
+        bad_primes is left empty, so the smallest prime dividing disc f,
+        placed mid-array, must raise the scalar error there.
+        """
+        n = len(poly) - 1
+        assume(poly_discriminant(poly) != 0)
+        model = splitting_field_model(poly, math.factorial(n), bad_primes=[])
+        route = self._route(model)
+        limit = splitting_mod._batch_limit(n)
+        disc = model.discriminant
+        primes = (_window_primes(2, 12) + _window_primes(limit - below, 3)
+                  + _window_primes(limit + above, 3))
+        whole = np.array([p for p in primes if disc % p], dtype=np.int64)
+        for clean, dtype in ((whole, object), (whole[whole <= limit], np.int64)):
+            assert [p.dtype for _, p in splitting_mod._blocks(clean, n)] == [dtype]
+            seen, counts, error = _gathered_cycle_counts(model, clean)
+            assert error is None and seen.tolist() == clean.tolist()
+            for j, p in enumerate(clean.tolist()):
+                assert counts[:, j].tolist() == _counts_of(model, p), (route, poly, p)
+            ramified = next((q for q in _window_primes(2, 300) if disc % q == 0), None)
+            if ramified is None:  # x^2 - x and x^2 + x have D = 1
+                continue
+            with pytest.raises(InconsistencyError) as scalar_error:
+                frobenius_cycle_type(model, ramified)
+            mixed = np.concatenate([clean[:3], [ramified], clean[3:]])
+            seen, counts, error = _gathered_cycle_counts(model, mixed)
+            assert (type(error), str(error)) == (InconsistencyError, str(scalar_error.value))
+            assert seen.tolist() == clean[:3].tolist()
+
+    def test_structured_routes_take_no_matrix_products(self, monkeypatch, primes_1e4):
+        """x^2 + 1, x^3 - 2 and x^4 + 2 run neither ``_matmul_mod`` nor ``_block_mulmod``,
+        on int64 and object blocks, while x^5 - x - 1 runs both."""
+        cases = []
+        for model in (X2P1, X3M2, X4P2):
+            window = np.array(_primes_near(splitting_mod._batch_limit(model.poly_degree), 6))
+            for primes in (primes_1e4, window):
+                clean = primes[~np.isin(primes, sorted(model.bad_primes))]
+                cases.append((model, clean, [_counts_of(model, p) for p in clean.tolist()]))
+
+        def refuse(*args):
+            raise RuntimeError("matrix product taken")
+
+        for name in ("_matmul_mod", "_block_mulmod"):
+            monkeypatch.setattr(splitting_mod, name, refuse)
+        for model, primes, truth in cases:
+            seen, counts, error = _gathered_cycle_counts(model, primes)
+            assert error is None and seen.tolist() == primes.tolist()
+            assert counts.T.tolist() == truth
+        with pytest.raises(RuntimeError, match="matrix product taken"):
+            list(splitting_mod._cycle_types(X5M1, primes_1e4[3:]))
 
 
 @functools.lru_cache(maxsize=None)
