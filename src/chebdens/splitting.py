@@ -896,14 +896,12 @@ def _binomial_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
             step = w[-1] * cc % pc
             w.append(step * ac % pc if i * r // n > (i - 1) * r // n else step)
         sums = np.zeros((n, cols.size), dtype=p.dtype)
-        seen: set[int] = set()
         for start in range(n):
-            if start in seen:
-                continue
             cycle = [start]
             while (i := cycle[-1] * r % n) != start:
                 cycle.append(i)
-            seen.update(cycle)
+            if min(cycle) < start:  # each cycle is summed once, from its least index
+                continue
             length, product = len(cycle), reduce(lambda x, y: x * y % pc, [w[i] for i in cycle])
             power = product
             for d in range(length, n + 1, length):
