@@ -38,6 +38,7 @@ from .splitting import (
     GaloisExtensionModel,
     SplittingFieldModel,
     SplittingPredicate,
+    _isin,
     split_mask,
 )
 
@@ -103,9 +104,7 @@ def member_mask(subject: PrimeSubject, primes: np.ndarray) -> np.ndarray:
         return subject
     if callable(subject):
         return np.fromiter((bool(subject(int(p))) for p in primes), bool, count=len(primes))
-    # a member no int64 prime array can hold is in no mask, and would overflow the conversion
-    members = sorted({p for p in map(int, subject) if -(1 << 63) <= p < 1 << 63})
-    return np.isin(primes, np.asarray(members, dtype=np.int64))
+    return _isin(map(int, subject), primes)
 
 
 def _classify(subject: PrimeSubject, cutoffs: list[int]):

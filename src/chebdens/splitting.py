@@ -50,8 +50,9 @@ A block runs in int64 when its largest prime is at most
 ``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
 the same functions on an ``object`` array of Python ints.
 Apart from the excluded primes, which masks mark False, an array path raises
-at its first failing entry, p < 2 too, the single-prime error there (masks by
-``_refuse``, cycle types by ``frobenius_cycle_type``): same type and message.
+at its first failing entry, p < 2 too, the single-prime error there, with the
+same type and message (masks where ``_refusals`` marks, cycle types through
+``frobenius_cycle_type``).
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class AbelianModel:
     def degree(self) -> int:
         return euler_phi(self.modulus) // len(self.residues)
 
-    @property
+    @cached_property
     def bad_primes(self) -> frozenset[int]:
         return prime_factors(self.modulus) if self.modulus > 1 else frozenset()
 
@@ -515,22 +516,28 @@ class SplittingPredicate:
 
     @property
     def bad_primes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for model in self.models:
-            out |= model.bad_primes
-        return frozenset(out)
+        return frozenset().union(*(model.bad_primes for model in self.models))
 
     def __call__(self, p: int) -> bool:
         return in_progression(self, p)
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        """Vectorized membership over an array of primes; excluded primes give False."""
+        """Vectorized membership over a 1-D array of primes; excluded primes give False.
+
+        An intersection first raises, at the earliest entry that some model
+        refuses, the error of the first model that refuses it; then it takes
+        the conjunction of the models' ``split_mask``s.
+        """
         primes = np.asarray(primes, dtype=np.int64)
         if self.target is None:
-            return _intersection_mask(self.models, primes)
+            refused = np.array([_refusals(model, primes) for model in self.models])
+            if refused.any():
+                j = int(refused.any(axis=0).argmax())
+                _require_unramified(self.models[int(refused[:, j].argmax())], int(primes[j]))
+            return reduce(np.logical_and, (split_mask(model, primes) for model in self.models))
         if isinstance(self.target, frozenset):
             return _residue_mask(self.models[0], self.target, primes)
-        keep = ~_bad_mask(self.bad_primes, primes)
+        keep = ~_isin(self.bad_primes, primes)
         hits = [np.array([s == self.target for s in shapes], dtype=bool)[index]
                 for _, index, shapes in _cycle_types(self.models[0], primes[keep])]
         out = np.zeros(primes.shape, dtype=bool)
@@ -574,23 +581,36 @@ def in_progression(pred: SplittingPredicate, p: int) -> bool:
 # batched GF(p)[x] engine: arrays of shape (n, B), row i the coefficient of
 # x^i, column b a residue mod the prime p[b]
 
-def _bad_mask(bad: frozenset[int], primes: np.ndarray) -> np.ndarray:
-    if not bad:
-        return np.zeros(primes.shape, dtype=bool)
-    return np.isin(primes, np.array(sorted(bad), dtype=np.int64))
+def _isin(values: Iterable[int], primes: np.ndarray) -> np.ndarray:
+    """Entrywise, whether p is one of ``values``, of which those outside int64 are dropped."""
+    values = [v for v in values if -(1 << 63) <= v < 1 << 63]  # no int64 p equals them
+    return np.isin(primes, np.array(values, dtype=np.int64)) if values else np.zeros(primes.shape, dtype=bool)
 
 
-def _refuse(model: GaloisExtensionModel, p: np.ndarray, fail: np.ndarray | bool = False) -> None:
-    """Raise ``_require_unramified``'s error at the first entry of p where ``fail`` holds or p < 2."""
-    fail = fail | (p < 2)
+def _refusals(model: GaloisExtensionModel, p: np.ndarray) -> np.ndarray:
+    """Entrywise, whether a mask of ``model`` raises at p: p < 2, or p divides disc f outside ``bad_primes``.
+
+    ``_mod_int`` runs on ``_blocks``, so the check is exact at every int64 p.
+    """
+    out = p < 2
+    if isinstance(model, SplittingFieldModel):
+        for start, block in _blocks(p, 1):
+            divides = _mod_int(model.discriminant, np.maximum(block, 2)) == 0
+            out[start:start + _BLOCK] |= divides & ~_isin(model.bad_primes, block)
+    return out
+
+
+def _refuse(model: GaloisExtensionModel, p: np.ndarray, fail: np.ndarray) -> None:
+    """Raise ``_require_unramified``'s error at the first entry of p where ``fail`` holds."""
     if fail.any():
-        _require_unramified(model, int(p[fail][0]))
+        _require_unramified(model, int(p[fail.argmax()]))
 
 
 def _residue_mask(model: AbelianModel, residues: Iterable[int], primes: np.ndarray) -> np.ndarray:
     """Entrywise, whether p mod the modulus is in ``residues``: units, so False where p divides it."""
-    _refuse(model, primes)
-    return np.isin(primes % model.modulus, sorted(residues))
+    _refuse(model, primes, _refusals(model, primes))
+    m = model.modulus  # an m >= 2^63 exceeds every int64 p, which is then its own residue
+    return _isin(residues, primes % m if m < 1 << 63 else primes)
 
 
 def _mod_int(value: int, mod: np.ndarray) -> np.ndarray:
@@ -770,8 +790,8 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
     it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
     criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
-    ladder; the others are False without arithmetic.  Each block is first
-    refused where it fails, by ``_refuse``, with p < 2 read mod 2, not mod 0.
+    ladder; the others are False without arithmetic.  Each block first
+    raises at its first entry that ``_refusals`` marks.
 
     A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
     model builds, on the first mask, the table of (D/p) over the classes
@@ -786,20 +806,20 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
         return _residue_mask(model, model.residues, primes)
-    mask = ~_bad_mask(model.bad_primes, primes)
+    mask = ~_isin(model.bad_primes, primes)
     table = model._symbol_table
     if table is not None:
         for start in range(0, primes.size, _BLOCK):
             part, p = mask[start:start + _BLOCK], primes[start:start + _BLOCK]
             symbol = table[p % table.size]
-            _refuse(model, p, part & (symbol == 0))
+            _refuse(model, p, (p < 2) | part & (symbol == 0))
             part &= symbol == 1
         return mask
     n = model.poly_degree
     binomial = not any(model.poly[1:-1])
     for start, p in _blocks(primes, n):
         part = mask[start:start + _BLOCK]
-        _refuse(model, p, part & (_mod_int(model.discriminant, np.maximum(p, 2)) == 0))
+        _refuse(model, p, _refusals(model, p))
         if n == 1:
             continue
         if binomial:
@@ -809,38 +829,6 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
             # f | x^p - x, valid since f mod p is squarefree
             part[part] = (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)
     return mask
-
-
-def _intersection_mask(models: Sequence[GaloisExtensionModel], primes: np.ndarray) -> np.ndarray:
-    """Conjunction of the models' ``split_mask``s over a 1-D array of primes.
-
-    Where some model refuses an entry, the earliest such entry of the array
-    raises the error of the first model that refuses it: a refusal cuts the
-    array there, so later models see only the entries before it.
-    """
-    out = np.ones(primes.shape, dtype=bool)
-    end, error = primes.size, None
-    for model in models:
-        try:
-            out[:end] &= split_mask(model, primes[:end])
-        except ValueError as exc:  # raised at the model's first refused entry
-            end, error = _first_refusal(model, primes[:end]), exc
-    if error is not None:
-        raise error
-    return out
-
-
-def _first_refusal(model: GaloisExtensionModel, primes: np.ndarray) -> int:
-    """Index of the first entry that ``split_mask`` refuses, on an array it refuses."""
-    lo, hi = 0, primes.size  # it refuses primes[:hi] but not primes[:lo]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            split_mask(model, primes[:mid])
-            lo = mid
-        except ValueError:
-            hi = mid
-    return lo
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -964,7 +952,8 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     A column fails where ``frobenius_cycle_type`` would raise or where its
     counts are no cycle type; the index is B if no column fails.
     """
-    low, p = p < 2, np.maximum(p, 2)  # p < 2 fails; it is computed as 2, not divided by
+    refused = _refusals(model, p) | _isin(model.bad_primes, p)
+    p = np.maximum(p, 2)  # a refused p < 2 is computed as 2, not divided by
     n = model.poly_degree
     if model._symbol_table is not None:
         roots = _quadratic_traces(model._symbol_table, p)
@@ -972,7 +961,6 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
         roots = _binomial_traces(model.poly, p)
     else:
         roots = _matrix_traces(model.poly, p)
-    refused = low | _bad_mask(model.bad_primes, p) | (_mod_int(model.discriminant, p) == 0)
     for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)
         degrees = _factor_degrees(model.poly, int(p[j]))
         roots[:, j] = [sum(k for k in degrees if d % k == 0) for d in range(1, n + 1)]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import chebdens.cli as cli_mod
 import chebdens.splitting as splitting_mod
 from chebdens import (
+    AbelianModel,
     FrobeniusCycleType,
     InconsistencyError,
     InvariantViolationError,
@@ -22,8 +24,10 @@ from chebdens import (
     in_progression,
     intersect_splitting,
     load_model,
+    member_mask,
     model_from_dict,
     model_to_dict,
+    natural_density_estimate,
     poly_discriminant,
     residue_class_predicate,
     split_mask,
@@ -412,6 +416,61 @@ class TestPathAgreement:
                 splits_completely(model, first)
             error = _array_error(path, model, primes)
             assert (type(error), str(error)) == (type(scalar.value), str(scalar.value))
+
+
+class TestRefusals:
+    """``_refusals`` marks the entries where a mask raises, against ``_require_unramified``."""
+
+    PAD = sieve_primes(PrimeRange(1000, 100_000))[:splitting_mod._BLOCK].tolist()
+    SMALL = sieve_primes(PrimeRange(2, 200)).tolist()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_refusals_match_the_scalar_check(self, data):
+        kind = data.draw(st.sampled_from(["table", "binomial", "generic"]))
+        if kind == "table":
+            poly = (data.draw(st.integers(-500, 500)), data.draw(st.integers(-20, 20)), 1)
+        elif kind == "binomial":
+            n = data.draw(st.integers(3, 8))
+            poly = (data.draw(st.integers(-2**40, 2**40)),) + (0,) * (n - 1) + (1,)
+        else:
+            poly = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=3, max_size=5))) + (1,)
+            assume(any(poly[1:-1]))
+        disc = poly_discriminant(poly)
+        assume(disc != 0)
+        # disc(x^n - a) is +-n^n a^(n-1), which has the prime factors of n a
+        factors = sorted(splitting_mod.prime_factors(abs(disc if kind != "binomial" else n * poly[0])))
+        bad = data.draw(st.sets(st.sampled_from(factors))) if factors else set()
+        model = splitting_field_model(poly, len(poly) - 1, bad)
+        assert (model._symbol_table is not None) == (kind == "table")
+        # squarefree divisors of disc, composite ones too, and |disc| itself
+        divisors = {abs(disc)} | {math.prod(c) for k in range(1, len(factors) + 1)
+                                  for c in itertools.combinations(factors, k)}
+        entries = data.draw(st.lists(st.one_of(
+            st.integers(-3, 1),
+            st.sampled_from(sorted(d for d in divisors if d < 1 << 63)),
+            st.sampled_from(self.SMALL),
+            st.integers(2, (1 << 63) - 1),
+        ), min_size=1, max_size=30))
+        # with the pad in front, the entries form a second block, an object one past 2^32
+        primes = np.array(self.PAD * data.draw(st.booleans()) + entries, dtype=np.int64)
+
+        def refused(p):
+            try:
+                splitting_mod._require_unramified(model, p)
+            except ValueError:
+                return p not in bad
+            return False
+
+        got = splitting_mod._refusals(model, primes)
+        assert got.dtype == bool
+        assert got.tolist() == [refused(p) for p in primes.tolist()]
+        assert splitting_mod._refusals(MOD4, primes).tolist() == (primes < 2).tolist()
+        if kind == "table":
+            table = model._symbol_table
+            for p, r in zip(primes.tolist(), got.tolist()):
+                if p >= 2 and (disc % p == 0 or is_prime(p)):
+                    assert r == (table[p % table.size] == 0 and p not in bad)
 
 
 def _array_error(path, model, primes: list[int]) -> Exception:
@@ -909,36 +968,57 @@ class TestPrimesBeyond2To32:
             assert got.tolist() == [value % m for m in mods.tolist()]
 
     def test_incomplete_bad_primes_above_int64_bound(self, capsys):
-        # disc(x^2 - q) = 4q, so q is ramified but missing from bad_primes
-        limit = splitting_mod._batch_limit(2)
-        q = next(p for p in range(limit + 1, limit + 1000) if is_prime(p))
-        model = splitting_field_model((-q, 0, 1), 2, bad_primes=[2])
-        around = sieve_primes(PrimeRange(q - 200, q + 200)).tolist()
-        before = [3, 5, 7] + [p for p in around if p < q]
-        mixed = np.array(before + [p for p in around if p >= q], dtype=np.int64)
-        assert [p.dtype for _, p in splitting_mod._blocks(mixed, 2)] == [object]
-        with pytest.raises(InconsistencyError) as scalar_error:
-            frobenius_cycle_type(model, q)
-        message = str(scalar_error.value)
-        assert f"f mod {q} is not squarefree" in message
-        paths = [
-            lambda: splits_completely(model, q),
-            lambda: split_mask(model, mixed),
-            lambda: cycle_type_predicate(model, (1, 1)).mask(mixed),
-        ]
-        for path in paths:
-            with pytest.raises(InconsistencyError) as error:
-                path()
-            assert str(error.value) == message
-        seen, counts, error = _gathered_cycle_counts(model, mixed)
-        assert (type(error), str(error)) == (InconsistencyError, message)
-        assert seen.tolist() == before
-        assert counts.tolist() == [[_counts_of(model, p)[k] for p in before] for k in range(2)]
-        code = cli_mod.main(["frob", f"--poly={-q},0,1", "--galois-order", "2", "--bad-primes", "2",
-                             "--lo", str(q - 200), "--hi", str(q + 200), "--format", "csv"])
-        out, err = capsys.readouterr()
-        assert (code, err) == (1, f"error: {message}\n")
-        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == before[3:]
+        # disc(x^2 - q) = 4q, so q is ramified but missing from bad_primes; past 2^32,
+        # 4q spans two 31-bit limbs of _mod_int
+        for lo in (splitting_mod._batch_limit(2) + 1, 2**32 + 1):
+            q = next(p for p in range(lo, lo + 1000) if is_prime(p))
+            model = splitting_field_model((-q, 0, 1), 2, bad_primes=[2])
+            around = sieve_primes(PrimeRange(q - 200, q + 200)).tolist()
+            before = [3, 5, 7] + [p for p in around if p < q]
+            mixed = np.array(before + [p for p in around if p >= q], dtype=np.int64)
+            assert [p.dtype for _, p in splitting_mod._blocks(mixed, 2)] == [object]
+            with pytest.raises(InconsistencyError) as scalar_error:
+                frobenius_cycle_type(model, q)
+            message = str(scalar_error.value)
+            assert f"f mod {q} is not squarefree" in message
+            paths = [
+                lambda: splits_completely(model, q),
+                lambda: split_mask(model, mixed),
+                lambda: cycle_type_predicate(model, (1, 1)).mask(mixed),
+                lambda: intersect_splitting([X3M2, model]).mask(mixed),
+            ]
+            for path in paths:
+                with pytest.raises(InconsistencyError) as error:
+                    path()
+                assert str(error.value) == message
+            seen, counts, error = _gathered_cycle_counts(model, mixed)
+            assert (type(error), str(error)) == (InconsistencyError, message)
+            assert seen.tolist() == before
+            assert counts.tolist() == [[_counts_of(model, p)[k] for p in before] for k in range(2)]
+            code = cli_mod.main(["frob", f"--poly={-q},0,1", "--galois-order", "2", "--bad-primes", "2",
+                                 "--lo", str(q - 200), "--hi", str(q + 200), "--format", "csv"])
+            out, err = capsys.readouterr()
+            assert (code, err) == (1, f"error: {message}\n")
+            assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == before[3:]
+
+    @pytest.mark.parametrize("model", [
+        splitting_field_model((-(2**64 + 13), 0, 1), 2),  # the prime 2^64 + 13 is a bad prime
+        abelian_model(2**64 + 1, [1]),
+        abelian_model(2**64 + 1, [1, 2**64]),  # the residue 2^64 is -1
+    ], ids=["bad_prime", "modulus", "residue"])
+    def test_values_beyond_int64_match_the_scalar_path(self, model, primes_1e4):
+        bad = model.bad_primes
+        assert max(bad | {getattr(model, "modulus", 0)}) >= 1 << 63
+        expected = [p not in bad and splits_completely(model, p) for p in primes_1e4.tolist()]
+        if isinstance(model, AbelianModel):
+            pred = residue_class_predicate(model, model.residues)
+        else:
+            pred = cycle_type_predicate(model, (1, 1))
+        masks = [split_mask(model, primes_1e4), pred.mask(primes_1e4), member_mask(pred, primes_1e4),
+                 intersect_splitting([model, LINEAR]).mask(primes_1e4), member_mask(model, primes_1e4)]
+        for mask in masks:
+            assert mask.tolist() == expected
+        assert natural_density_estimate(model, 10**4).members == sum(expected)
 
 
 class TestPredicates:
@@ -984,6 +1064,26 @@ class TestPredicates:
                 with pytest.raises(ValueError) as single:
                     pred(first)
                 assert (type(single.value), str(single.value)) == want
+
+    def test_refused_intersection_builds_no_mask(self, monkeypatch):
+        # 1000003 divides disc(x^2 - 1000003) = 4 * 1000003 but is missing from bad_primes
+        models = [X3M2, splitting_field_model((-1000003, 0, 1), 2, [2])]
+        primes = sieve_primes(PrimeRange(2, 2 * 10**6))
+        calls = []
+
+        def counted(model, ps):
+            calls.append(model)
+            return split_mask(model, ps)
+
+        monkeypatch.setattr(splitting_mod, "split_mask", counted)
+        for order in (models, models[::-1]):
+            with pytest.raises(InconsistencyError) as error:
+                intersect_splitting(order).mask(primes)
+            assert str(error.value) == (
+                "f mod 1000003 is not squarefree; the excluded prime set of the model is incomplete")
+        assert calls == []
+        intersect_splitting(models).mask(primes[:100])
+        assert calls == models
 
     def test_intersection_mask_is_conjunction(self, primes_1e4):
         models = [splitting_field_model((-d, 0, 1), 2) for d in (2, 3)]
