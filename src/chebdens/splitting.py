@@ -524,9 +524,8 @@ class SplittingPredicate:
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Vectorized membership over a 1-D array of primes; excluded primes give False.
 
-        An intersection first raises, at the earliest entry that some model
-        refuses, the error of the first model that refuses it; then it takes
-        the conjunction of the models' ``split_mask``s.
+        An intersection raises at its earliest refused entry, with the first refusing
+        model's error, before it takes the conjunction of the models' ``split_mask``s.
         """
         primes = np.asarray(primes, dtype=np.int64)
         if self.target is None:
@@ -798,10 +797,10 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     mod 4|D| (``_quadratic_symbols``, by quadratic reciprocity), and each
     call reads the symbols with one ``%`` and a gather per block of
     ``_BLOCK`` primes, in int64 at any size of p.  Symbol 0 marks the
-    primes dividing D, where a prime missing from ``bad_primes`` raises as
-    on the ladder route, at the first such prime of the array; p = 2,
-    outside reciprocity, reads the class 2 entry, which holds the
-    ``splits_completely`` test there.
+    primes dividing D; only a block with such a prime outside
+    ``bad_primes``, or with p < 2, runs ``_refusals``, and it raises as on
+    the ladder route.  p = 2, outside reciprocity, reads the class 2 entry,
+    which holds the ``splits_completely`` test there.
     """
     primes = np.asarray(primes, dtype=np.int64)
     if isinstance(model, AbelianModel):
@@ -812,7 +811,8 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         for start in range(0, primes.size, _BLOCK):
             part, p = mask[start:start + _BLOCK], primes[start:start + _BLOCK]
             symbol = table[p % table.size]
-            _refuse(model, p, (p < 2) | part & (symbol == 0))
+            if ((p < 2) | part & (symbol == 0)).any():  # a block that may refuse
+                _refuse(model, p, _refusals(model, p))
             part &= symbol == 1
         return mask
     n = model.poly_degree

@@ -465,6 +465,14 @@ class TestRefusals:
         got = splitting_mod._refusals(model, primes)
         assert got.dtype == bool
         assert got.tolist() == [refused(p) for p in primes.tolist()]
+        # every route of split_mask raises at the first marked entry, composite or not
+        if got.any():
+            with pytest.raises(ValueError) as scalar:
+                splitting_mod._require_unramified(model, int(primes[got.argmax()]))
+            error = _array_error(split_mask, model, primes.tolist())
+            assert (type(error), str(error)) == (type(scalar.value), str(scalar.value))
+        else:
+            split_mask(model, primes)
         assert splitting_mod._refusals(MOD4, primes).tolist() == (primes < 2).tolist()
         if kind == "table":
             table = model._symbol_table
