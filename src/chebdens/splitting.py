@@ -524,8 +524,7 @@ class SplittingPredicate:
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Vectorized membership over a 1-D array of primes; excluded primes give False.
 
-        An intersection raises at its earliest refused entry, with the first refusing
-        model's error, before it takes the conjunction of the models' ``split_mask``s.
+        An intersection first raises at its earliest refused entry, the first refusing model's error.
         """
         primes = np.asarray(primes, dtype=np.int64)
         if self.target is None:
@@ -589,13 +588,14 @@ def _isin(values: Iterable[int], primes: np.ndarray) -> np.ndarray:
 def _refusals(model: GaloisExtensionModel, p: np.ndarray) -> np.ndarray:
     """Entrywise, whether a mask of ``model`` raises at p: p < 2, or p divides disc f outside ``bad_primes``.
 
-    ``_mod_int`` runs on ``_blocks``, so the check is exact at every int64 p.
+    Only 2 <= p <= |disc f| can divide it; ``_mod_int`` runs on ``_blocks`` of those, exact at any int64 p.
     """
     out = p < 2
     if isinstance(model, SplittingFieldModel):
-        for start, block in _blocks(p, 1):
-            divides = _mod_int(model.discriminant, np.maximum(block, 2)) == 0
-            out[start:start + _BLOCK] |= divides & ~_isin(model.bad_primes, block)
+        near = np.flatnonzero(~out & (p <= min(abs(model.discriminant), (1 << 63) - 1)))
+        for start, block in _blocks(p[near], 1):
+            divides = _mod_int(model.discriminant, block) == 0
+            out[near[start:start + _BLOCK]] = divides & ~_isin(model.bad_primes, block)
     return out
 
 
