@@ -31,8 +31,12 @@ column per prime in blocks of ``_BLOCK`` primes.  Both compute x^p mod (f, p)
 by a left-to-right ladder, except when f is x^n - a, read from its
 coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2): then x^n = a in
 GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n), and only the
-power of a is left, which ``split_mask`` takes on the primes p = 1 (mod n)
-alone, since no other unramified prime splits x^n - a completely.
+power of a is left (``_binomial_power``).  ``split_mask`` takes it on the
+primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
+completely, and there tests a^((p - 1) / n) = 1 with no x^p formed.  That
+power runs in float64 where 4 max(|a|, 1)^3 p^2 <= 2^52 and p > 2|a|, by
+2-bit windows and a floor-quotient reduction into [-p, 2p), and elsewhere
+in int64 with one ``% p`` per step.
 ``split_mask`` runs no ladder for a quadratic f of small discriminant D:
 whether an odd prime p not dividing D splits f is the symbol (D/p), which by
 quadratic reciprocity depends on p mod 4|D| alone, so one table of those
@@ -227,6 +231,21 @@ def _pollard_rho(n: int) -> int:
     raise ResourceLimitError(f"failed to factor {n}; supply bad_primes explicitly")
 
 
+def _root(m: int) -> int:
+    """The least r with r^k = m for some k >= 1, for m without prime factors below 10^5.
+
+    Such an m = r^k has r > 2^16, so k <= bits(m) / 16; each k-th root is
+    Newton's iteration on integers, from a start above it.
+    """
+    for k in range(2, m.bit_length() // 16 + 1):
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == m:
+            return _root(r)
+    return m
+
+
 def prime_factors(n: int) -> frozenset[int]:
     """Set of prime divisors of |n| (n != 0)."""
     n = abs(int(n))
@@ -246,7 +265,7 @@ def prime_factors(n: int) -> frozenset[int]:
         d += 2
     stack = [n] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m = _root(stack.pop())
         if m == 1:
             continue
         if is_prime(m):
@@ -630,11 +649,13 @@ def _batch_limit(n: int) -> int:
 
     The largest sum the engine accumulates before a ``% p`` is n products of
     two residues, at most n*(p-1)^2, which must not exceed 2^63 - 1.  The
-    limit is below 2^32 for every n, as ``_mod_int`` needs.  The ladder of a
-    binomial x^n - a reduces once per step, after c^2 * a, a product of up
-    to |a|*(p-1)^2 with a the signed residue; where that can pass 2^63 in an
-    int64 block, the step also reduces c^2 first, so no product passes
-    (p-1)^2.
+    limit is below 2^32 for every n, as ``_mod_int`` needs.  The int64
+    ladder of a binomial x^n - a reduces once per step, after c^2 * a, a
+    product of up to |a|*(p-1)^2 with a the signed residue; where that can
+    pass 2^63 in an int64 block, the step also reduces c^2 first, so no
+    product passes (p-1)^2.  Its float64 ladder takes a block only where
+    4 max(|a|, 1)^3 p^2 <= 2^52 at the largest p, far below this limit
+    (p <= 2^25 at |a| = 1; see ``_binomial_power``).
     """
     return 1 + math.isqrt(((1 << 63) - 1) // n)
 
@@ -688,16 +709,37 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
 def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     """c = a^(p // n) mod p for f = x^n - a, so that x^p = c x^(p % n) mod (f, p).
 
-    x^n = a in GF(p)[x]/(f), squarefree or not.  The ladder's steps multiply
-    c^2 by a where the bit is set and by 1 elsewhere; with a taken as its
-    signed residue, small when the coefficient is, one ``% p`` ends each
-    step (see ``_batch_limit`` for the bound).
+    x^n = a in GF(p)[x]/(f), squarefree or not.  A block takes one of two
+    ladders over the bits of e = p // n, picked from its smallest and
+    largest prime and from a = -f(0):
+
+    * In float64 where a is its own signed residue at every p (p > 2|a|)
+      and, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52.  Fixed 2-bit
+      windows of e, from the top, each square c twice and multiply it by
+      one of the constants 1, a, a^2, a^3.  Each reduction takes
+      q = floor(c * fl(1/p)) and c - q p, which lies in [-p, 2p); one
+      exact ``%`` ends the ladder.  Proof, with u = 2^-53: every c that is
+      squared lies in [-p, 2p), so c^2 < 4p^2, and c^2 times a constant of
+      at most b^3 stays below 4 b^3 p^2 <= 2^52.  Every product is thus an
+      integer below 2^52, exact in float64.  For such c, fl(c * fl(1/p)) is
+      c/p within |c/p| (2u + u^2) < 1, so q is floor(c/p) or one off it,
+      and c - q p lies in [-p, 2p).  q p is within 2p of c, below 2^53, so
+      it and the difference are exact; that step is why the margin is
+      2^52 and not 2^53.
+    * In int64 otherwise, on ``object`` blocks too: each step multiplies
+      c^2 by a where the bit is set and by 1 elsewhere; with a taken as
+      its signed residue, small when the coefficient is, one ``% p`` ends
+      each step (see ``_batch_limit`` for the bound).
     """
     n = len(poly) - 1
-    a = _mod_int(-poly[0], p)
+    e, a = p // n, -int(poly[0])
+    b = max(abs(a), 1)
+    if p.dtype != object and int(p.min()) > 2 * b and 4 * b ** 3 * int(p.max()) ** 2 <= 1 << 52:
+        return _float_power(a, e, p)
+    a = _mod_int(a, p)
     a = np.where(2 * a > p, a - p, a)
     wide = p.dtype != object and int(abs(a).max()) * (int(p.max()) - 1) ** 2 >= 1 << 63
-    e, am1 = p // n, a - 1
+    am1 = a - 1
     c, m = np.ones_like(p), np.empty_like(p)
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         np.right_shift(e, bit, out=m)
@@ -712,23 +754,44 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     return c
 
 
+def _float_power(a: int, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^e mod p on an int64 block in float64 by 2-bit windows, under the bound of ``_binomial_power``."""
+    pf = p.astype(np.float64)
+    inv = 1 / pf
+    table = np.array([1, a, a * a, a ** 3], dtype=np.float64)
+    top = (max(int(e.max()).bit_length(), 1) - 1) // 2 * 2
+    c, q, w, digit = table.take((e >> top) & 3), np.empty_like(pf), np.empty_like(pf), np.empty_like(e)
+    _float_reduce(c, inv, pf, q)
+    for shift in range(top - 2, -1, -2):
+        np.right_shift(e, shift, out=digit)
+        digit &= 3
+        c *= c
+        _float_reduce(c, inv, pf, q)
+        c *= c
+        c *= table.take(digit, out=w, mode="clip")  # digits are 0..3, so nothing is clipped
+        _float_reduce(c, inv, pf, q)
+    return c.astype(np.int64) % p
+
+
+def _float_reduce(c: np.ndarray, inv: np.ndarray, pf: np.ndarray, q: np.ndarray) -> None:
+    """c -= floor(c * inv) * pf in place, which leaves c in [-p, 2p) (see ``_binomial_power``)."""
+    np.multiply(c, inv, out=q)
+    np.floor(q, out=q)
+    q *= pf
+    c -= q
+
+
 def _x_pow_p(poly: Sequence[int], p: np.ndarray, red: np.ndarray | None = None) -> np.ndarray:
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
-    When f is x^n - a, read from its coefficients, x^p is the monomial
-    a^(p // n) x^(p % n), and only the power of a needs a ladder
-    (``_binomial_power``).  For p = 1 (mod n) the monomial is
-    a^((p - 1) / n) x, which is x exactly when a is an n-th power residue
-    mod p.  Any other f reads the reduction rows ``red`` of the columns of
-    ``p``, built here when not given.
+    It reads the reduction rows ``red`` of the columns of ``p``, built here
+    when not given.  Any monic f of degree >= 2 works, but the engine sends
+    x^n - a to ``_binomial_power`` instead, since its x^p is a monomial.
     """
     n = len(poly) - 1
-    r = np.zeros((n, p.size), dtype=p.dtype)
-    if not any(poly[1:-1]):
-        r[(p % n).astype(np.intp), np.arange(p.size)] = _binomial_power(poly, p)
-        return r
     if red is None:
         red = _reduction_rows(poly, p)
+    r = np.zeros((n, p.size), dtype=p.dtype)
     r[0] = 1
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         r = _block_mulmod(r, r, red, p)
@@ -789,7 +852,9 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
     it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
     criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
-    ladder; the others are False without arithmetic.  Each block first
+    ladder of ``_binomial_power``, in float64 or int64 by the bound given
+    there, and each is True where the power is 1; no x^p is formed, and
+    the other columns are False without arithmetic.  Each block first
     raises at its first entry that ``_refusals`` marks.
 
     A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
@@ -823,8 +888,10 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         if n == 1:
             continue
         if binomial:
-            part &= p % n == 1
-        if part.any():
+            part &= p % n == 1  # where x^p = a^((p - 1) / n) x
+            if part.any():
+                part[part] = _binomial_power(model.poly, p[part]) == 1
+        elif part.any():
             xp = _x_pow_p(model.poly, p[part])
             # f | x^p - x, valid since f mod p is squarefree
             part[part] = (xp[1] == 1) & ~np.delete(xp, 1, axis=0).any(axis=0)

@@ -18,6 +18,7 @@ from chebdens import (
     InvariantViolationError,
     ModelFormatError,
     RamifiedPrimeError,
+    ResourceLimitError,
     abelian_model,
     cycle_type_predicate,
     frobenius_cycle_type,
@@ -99,6 +100,20 @@ class TestModels:
         assert "discriminant" not in vars(direct) and len(calls) == 1
         assert (direct.discriminant, direct.discriminant, len(calls)) == (-108, -108, 2)
         assert direct == model and repr(direct) == repr(model) and hash(direct) == hash(model)
+
+    def test_prime_power_cofactors_are_factored(self):
+        # past trial division a cofactor of 10^26 or more is beyond the
+        # deterministic Miller-Rabin range; its k-th root is not
+        assert splitting_mod.prime_factors(6 * 174467**5) == {2, 3, 174467}
+        assert splitting_mod.prime_factors((100003 * 100019) ** 6) == {100003, 100019}
+        # disc(x^6 - 1221269) = -6^6 1221269^5, 1221269 = 7 * 174467
+        model = splitting_field_model((-1221269, 0, 0, 0, 0, 0, 1), 12)
+        assert sorted(model.bad_primes) == [2, 3, 7, 174467]
+
+    def test_composite_past_the_witness_range_is_refused(self):
+        # 174467^4 * 100003 is no perfect power, so is_prime still sees it
+        with pytest.raises(ResourceLimitError, match="deterministic witness set only covers"):
+            splitting_mod.prime_factors(174467**4 * 100003)
 
     def test_explicit_bad_primes_respected(self):
         model = splitting_field_model((1, 0, 1), 2, bad_primes=[2, 13])
@@ -545,7 +560,7 @@ class TestBatchedEngineDifferential:
     )
     @example([-1, -1, 0, 0, 0], 2, 0, 1, 1)  # x^5 - x - 1, disc 19 * 151
     @example([-1, -1, 0, 0, 0, 0, 0, 0], 2, 0, 1, 1)  # x^8 - x - 1, disc -11 * 1600069
-    # binomials take the monomial route of _x_pow_p, which random coefficients
+    # binomials take the monomial route of _binomial_power, which random coefficients
     # almost never draw; x^4 + 2 (disc 2^11) and x^8 + 3 (disc 2^24 * 3^7)
     # keep 3, resp. 5 and 7, as unramified columns with p <= deg f
     @example([-2, 0, 0], 2, 0, 1, 1)  # x^3 - 2, disc -2^2 * 3^3
@@ -639,15 +654,19 @@ class TestBatchedEngineDifferential:
                 split_mask(model, primes)
 
         # x^3 - 2 can split only at p = 1 (mod 3): 611 of the 1229 primes below 10^4
-        # reach the ladder, all of them in that class
+        # reach the power ladder, all of them in that class, and none forms x^p
         received = []
-        x_pow_p = splitting_mod._x_pow_p
+        binomial_power = splitting_mod._binomial_power
 
         def recording(poly, p):
             received.extend(p.tolist())
-            return x_pow_p(poly, p)
+            return binomial_power(poly, p)
 
-        monkeypatch.setattr(splitting_mod, "_x_pow_p", recording)
+        def no_x_pow_p(*args):
+            raise RuntimeError("_x_pow_p called")
+
+        monkeypatch.setattr(splitting_mod, "_binomial_power", recording)
+        monkeypatch.setattr(splitting_mod, "_x_pow_p", no_x_pow_p)
         assert (split_mask(X3M2, primes_1e4) == expected[0]).all()
         assert len(received) == 611 and primes_1e4.size == 1229
         assert received == [p for p in primes_1e4.tolist() if p % 3 == 1]
@@ -686,6 +705,18 @@ class TestBatchedEngineDifferential:
     # it stays below 2^63: one reduction per step
     @example(2, -1, 2, 1, 1)  # x^2 + 1
     @example(8, -3, 2, 1, 1)  # x^8 + 3
+    # the float64 ladder's edge, 2^25 / (|a| sqrt|a|), for |a| = 1, 2, 3, 7,
+    # 100 of either sign; the window from 2 holds primes p <= 2|a|
+    @example(2, 1, 2, 1, 1)  # x^2 - 1
+    @example(5, -1, 2, 1, 1)  # x^5 + 1
+    @example(3, 2, 2, 1, 1)  # x^3 - 2
+    @example(4, -2, 2, 1, 1)  # x^4 + 2
+    @example(6, 3, 2, 1, 1)  # x^6 - 3
+    @example(3, -3, 2, 1, 1)  # x^3 + 3
+    @example(7, 7, 2, 1, 1)  # x^7 - 7
+    @example(2, -7, 2, 1, 1)  # x^2 + 7
+    @example(4, 100, 2, 1, 1)  # x^4 - 100
+    @example(8, -100, 2, 1, 1)  # x^8 + 100
     @settings(max_examples=25, deadline=None)
     def test_binomials_match_scalar_paths_and_residue_criterion(self, n, a, small, below, above):
         """x^n - a on int64 and object blocks against the scalar code and ``binomial_splits``.
@@ -693,6 +724,11 @@ class TestBatchedEngineDifferential:
         bad_primes is left empty, so the smallest prime q dividing n, which
         divides disc f = +-n^n a^(n-1) and is not 1 (mod n), must raise the
         scalar InconsistencyError from the middle of the array.
+
+        Near the float64 bound of ``_binomial_power``, p > 2|a| and
+        4 max(|a|, 1)^3 p^2 <= 2^52 at the largest p, blocks below it, above
+        it, across it and with p <= 2|a| give ``pow`` and take the float
+        ladder exactly when they are within the bound.
         """
         model = splitting_field_model((-a,) + (0,) * (n - 1) + (1,), math.factorial(n), bad_primes=[])
         limit = splitting_mod._batch_limit(n)
@@ -715,6 +751,27 @@ class TestBatchedEngineDifferential:
             with pytest.raises(InconsistencyError) as mask_error:
                 split_mask(model, mixed)
             assert str(mask_error.value) == str(scalar_error.value)
+
+        b = max(abs(a), 1)
+        bound = math.isqrt((1 << 52) // (4 * b**3))
+        edge = np.array(_primes_near(bound + 1, 8), dtype=np.int64)
+        under, over = edge[edge <= bound], edge[edge > bound]
+        low = np.array(_window_primes(small, 6), dtype=np.int64)
+        floats = []
+        float_power = splitting_mod._float_power
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(splitting_mod, "_float_power",
+                          lambda a, e, p: floats.append(p.tolist()) or float_power(a, e, p))
+            for block in (under, over, edge, low, np.concatenate([low, under])):
+                if not block.size:
+                    continue
+                floats.clear()
+                power = splitting_mod._binomial_power(model.poly, block)
+                assert power.tolist() == [pow(a, p // n, p) for p in block.tolist()], (n, a)
+                within = block.min() > 2 * b and block.max() <= bound
+                assert floats == ([block.tolist()] if within else []), (n, a, block.tolist())
+                clean = block[(n * a) % block != 0]
+                assert split_mask(model, clean).tolist() == [binomial_splits(a, n, p) for p in clean.tolist()]
 
     def test_ramified_prime_off_the_residue_class_raises(self):
         # disc(x^3 - 12) = -2^4 3^5: 3 is ramified but missing from bad_primes, and
@@ -915,12 +972,19 @@ class TestQuadraticSymbolTable:
         # fresh models, so their tables are built with the ladder refused too
         for poly, mask in zip(polys, expected):
             assert (split_mask(splitting_field_model(poly, 2), primes_1e4) == mask).all()
-        # |D| = LIMIT reads the table; |D| = LIMIT + 4 and LIMIT + 1 run the ladder
+        # |D| = LIMIT reads the table; past it, the binomial x^2 + (c + 1)
+        # (|D| = LIMIT + 4) runs the power ladder, and x^2 + x - c
+        # (|D| = LIMIT + 1) the polynomial one
         c = self.LIMIT // 4
+
+        def refuse_power(*args):
+            raise RuntimeError("_binomial_power called")
+
+        monkeypatch.setattr(splitting_mod, "_binomial_power", refuse_power)
         split_mask(splitting_field_model((c, 0, 1), 2), primes_1e4)
-        for poly in ((c + 1, 0, 1), (-c, 1, 1)):
+        for poly, ladder in (((c + 1, 0, 1), "_binomial_power"), ((-c, 1, 1), "_x_pow_p")):
             assert abs(poly_discriminant(poly)) > self.LIMIT
-            with pytest.raises(RuntimeError, match="_x_pow_p called"):
+            with pytest.raises(RuntimeError, match=f"{ladder} called"):
                 split_mask(splitting_field_model(poly, 2), primes_1e4)
 
     def test_table_is_built_once_per_model(self, monkeypatch, primes_1e4):
