@@ -34,8 +34,8 @@ GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n), and only the
 power of a is left (``_binomial_power``).  ``split_mask`` takes it on the
 primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
 completely, and there tests a^((p - 1) / n) = 1 with no x^p formed.  That
-power runs in float64 where 4 max(|a|, 1)^3 p^2 <= 2^52 and p > 2|a|, by
-2-bit windows and a floor-quotient reduction into [-p, 2p), and elsewhere
+power runs in float64 where 4 max(|a|, 1)^3 p^2 <= 2^52, by 2-bit
+windows and a floor-quotient reduction into [-p, 2p), and elsewhere
 in int64 with one ``% p`` per step.
 ``split_mask`` runs no ladder for a quadratic f of small discriminant D:
 whether an odd prime p not dividing D splits f is the symbol (D/p), which by
@@ -710,18 +710,19 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     """c = a^(p // n) mod p for f = x^n - a, so that x^p = c x^(p % n) mod (f, p).
 
     x^n = a in GF(p)[x]/(f), squarefree or not.  A block takes one of two
-    ladders over the bits of e = p // n, picked from its smallest and
-    largest prime and from a = -f(0):
+    ladders over the bits of e = p // n, picked from its largest prime
+    and from a = -f(0):
 
-    * In float64 where a is its own signed residue at every p (p > 2|a|)
-      and, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52.  Fixed 2-bit
-      windows of e, from the top, each square c twice and multiply it by
-      one of the constants 1, a, a^2, a^3.  Each reduction takes
-      q = floor(c * fl(1/p)) and c - q p, which lies in [-p, 2p); one
-      exact ``%`` ends the ladder.  Proof, with u = 2^-53: every c that is
-      squared lies in [-p, 2p), so c^2 < 4p^2, and c^2 times a constant of
-      at most b^3 stays below 4 b^3 p^2 <= 2^52.  Every product is thus an
-      integer below 2^52, exact in float64.  For such c, fl(c * fl(1/p)) is
+    * In float64 where, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52.
+      Fixed 2-bit windows of e, from the top, each square c twice and
+      multiply it by one of the constants 1, a, a^2, a^3, which are never
+      reduced, so p <= 2|a| needs no case of its own.  Each reduction
+      takes q = floor(c * fl(1/p)) and c - q p, which lies in [-p, 2p);
+      one exact ``%`` ends the ladder.  Proof, with u = 2^-53: every c
+      that is squared lies in [-p, 2p), so c^2 < 4p^2, and c^2 times a
+      constant of at most b^3 in size stays below 4 b^3 p^2 <= 2^52, as
+      does the first c, a constant itself.  Every product is thus an
+      integer below 2^52 in size, exact in float64.  For such c, fl(c * fl(1/p)) is
       c/p within |c/p| (2u + u^2) < 1, so q is floor(c/p) or one off it,
       and c - q p lies in [-p, 2p).  q p is within 2p of c, below 2^53, so
       it and the difference are exact; that step is why the margin is
@@ -734,7 +735,7 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     n = len(poly) - 1
     e, a = p // n, -int(poly[0])
     b = max(abs(a), 1)
-    if p.dtype != object and int(p.min()) > 2 * b and 4 * b ** 3 * int(p.max()) ** 2 <= 1 << 52:
+    if p.dtype != object and 4 * b ** 3 * int(p.max()) ** 2 <= 1 << 52:
         return _float_power(a, e, p)
     a = _mod_int(a, p)
     a = np.where(2 * a > p, a - p, a)

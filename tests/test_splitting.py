@@ -706,7 +706,8 @@ class TestBatchedEngineDifferential:
     @example(2, -1, 2, 1, 1)  # x^2 + 1
     @example(8, -3, 2, 1, 1)  # x^8 + 3
     # the float64 ladder's edge, 2^25 / (|a| sqrt|a|), for |a| = 1, 2, 3, 7,
-    # 100 of either sign; the window from 2 holds primes p <= 2|a|
+    # 100 of either sign; the window from 2 holds primes p <= 2|a|, where
+    # the float ladder multiplies by the unreduced constants a, a^2, a^3
     @example(2, 1, 2, 1, 1)  # x^2 - 1
     @example(5, -1, 2, 1, 1)  # x^5 + 1
     @example(3, 2, 2, 1, 1)  # x^3 - 2
@@ -725,10 +726,10 @@ class TestBatchedEngineDifferential:
         divides disc f = +-n^n a^(n-1) and is not 1 (mod n), must raise the
         scalar InconsistencyError from the middle of the array.
 
-        Near the float64 bound of ``_binomial_power``, p > 2|a| and
-        4 max(|a|, 1)^3 p^2 <= 2^52 at the largest p, blocks below it, above
-        it, across it and with p <= 2|a| give ``pow`` and take the float
-        ladder exactly when they are within the bound.
+        Near the float64 bound of ``_binomial_power``, 4 max(|a|, 1)^3 p^2
+        <= 2^52 at the largest p, blocks below it, above it, across it and
+        with p <= 2|a| give ``pow`` and take the float ladder exactly when
+        they are within the bound.
         """
         model = splitting_field_model((-a,) + (0,) * (n - 1) + (1,), math.factorial(n), bad_primes=[])
         limit = splitting_mod._batch_limit(n)
@@ -768,7 +769,7 @@ class TestBatchedEngineDifferential:
                 floats.clear()
                 power = splitting_mod._binomial_power(model.poly, block)
                 assert power.tolist() == [pow(a, p // n, p) for p in block.tolist()], (n, a)
-                within = block.min() > 2 * b and block.max() <= bound
+                within = block.max() <= bound
                 assert floats == ([block.tolist()] if within else []), (n, a, block.tolist())
                 clean = block[(n * a) % block != 0]
                 assert split_mask(model, clean).tolist() == [binomial_splits(a, n, p) for p in clean.tolist()]
@@ -968,19 +969,18 @@ class TestQuadraticSymbolTable:
         def refuse(*args):
             raise RuntimeError("_x_pow_p called")
 
+        def refuse_power(*args):
+            raise RuntimeError("_binomial_power called")
+
         monkeypatch.setattr(splitting_mod, "_x_pow_p", refuse)
-        # fresh models, so their tables are built with the ladder refused too
+        monkeypatch.setattr(splitting_mod, "_binomial_power", refuse_power)
+        # fresh models, so their tables are built with both ladders refused too
         for poly, mask in zip(polys, expected):
             assert (split_mask(splitting_field_model(poly, 2), primes_1e4) == mask).all()
         # |D| = LIMIT reads the table; past it, the binomial x^2 + (c + 1)
         # (|D| = LIMIT + 4) runs the power ladder, and x^2 + x - c
         # (|D| = LIMIT + 1) the polynomial one
         c = self.LIMIT // 4
-
-        def refuse_power(*args):
-            raise RuntimeError("_binomial_power called")
-
-        monkeypatch.setattr(splitting_mod, "_binomial_power", refuse_power)
         split_mask(splitting_field_model((c, 0, 1), 2), primes_1e4)
         for poly, ladder in (((c + 1, 0, 1), "_binomial_power"), ((-c, 1, 1), "_x_pow_p")):
             assert abs(poly_discriminant(poly)) > self.LIMIT
