@@ -29,11 +29,11 @@ arrays (``split_mask`` and the cycle-type branch of
 ``SplittingPredicate.mask``) go through one batched GF(p)[x] engine, one
 column per prime in blocks of ``_BLOCK`` primes.  Both compute x^p mod (f, p)
 by a left-to-right ladder, except when f is x^n - a, read from its
-coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2): then x^n = a in
-GF(p)[x]/(f) makes x^p the monomial a^(p // n) x^(p mod n), and only the
-power of a is left (``_binomial_power``).  ``split_mask`` takes it on the
-primes p = 1 (mod n) alone, since no other unramified prime splits x^n - a
-completely, and there tests a^((p - 1) / n) = 1 with no x^p formed.  That
+coefficients (as are x^2 + 1, x^3 - 2, x^4 + 2).  The single-prime code
+then reads x^p as the monomial a^(p // n) x^(p mod n), as x^n = a in
+GF(p)[x]/(f); the engine forms no x^p, only one power a^((p - 1) / k) per
+prime at most (``_binomial_power``).  ``split_mask`` tests
+a^((p - 1) / n) = 1 on the primes p = 1 (mod n) alone.  That
 power runs in float64 where 4 max(|a|, 1)^3 p^2 <= 2^52, by 2-bit
 windows and a floor-quotient reduction into [-p, 2p), and elsewhere
 in int64 with one ``% p`` per step.
@@ -43,13 +43,14 @@ quadratic reciprocity depends on p mod 4|D| alone, so one table of those
 classes per model decides every prime.  With Q Berlekamp's matrix of the
 Frobenius map on GF(p)[x]/(f), a single prime's cycle type comes from
 distinct-degree factorization, which reads x^(p^d) for d >= 2 off the rows
-of Q, and the engine's from traces: tr(Q^d) mod p is the number
-R(d) = sum_{k | d} k c_k of roots of f in GF(p^d) whenever p > deg f, and
-Moebius inversion gives the counts c_k of degree-k factors.  The traces
-are read off the model where it allows: a quadratic's symbol table, the
-monomial Q of x^n - a, and otherwise the powers of Q up to ceil(n/2)
-(``_block_cycle_counts``).  The engine sends a prime p <= deg f (at most
-2, 3, 5 and 7 for deg f <= 8) to the single-prime factorization instead.
+of Q, and the engine's from the number R(d) = sum_{k | d} k c_k of roots
+of f in GF(p^d), which Moebius inversion turns into the counts c_k of
+degree-k factors.  R(d) is read off the model where it allows: a
+quadratic's symbol table, the power-residue criterion for x^n - a
+(``_binomial_roots``), and otherwise tr(Q^d) mod p, which is R(d) for
+p > deg f, from the powers of Q up to ceil(n/2) (``_block_cycle_counts``).
+The engine sends a prime p <= deg f (at most 2, 3, 5 and 7 for
+deg f <= 8) to the single-prime factorization instead.
 A block runs in int64 when its largest prime is at most
 ``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
 the same functions on an ``object`` array of Python ints.
@@ -706,12 +707,12 @@ def _block_mulmod(a: np.ndarray, b: np.ndarray, red: np.ndarray, p: np.ndarray) 
     return out
 
 
-def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
-    """c = a^(p // n) mod p for f = x^n - a, so that x^p = c x^(p % n) mod (f, p).
+def _binomial_power(poly: Sequence[int], p: np.ndarray, k: int) -> np.ndarray:
+    """a^((p - 1) // k) mod p for f = x^n - a, a = -f(0).
 
-    x^n = a in GF(p)[x]/(f), squarefree or not.  A block takes one of two
-    ladders over the bits of e = p // n, picked from its largest prime
-    and from a = -f(0):
+    ``split_mask`` passes k = n and ``_binomial_roots`` k = gcd(n, p - 1),
+    on columns p = 1 (mod k).  A block takes one of two ladders over the
+    bits of e = (p - 1) // k, picked from its largest prime and from a:
 
     * In float64 where, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52.
       Fixed 2-bit windows of e, from the top, each square c twice and
@@ -732,8 +733,7 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
       its signed residue, small when the coefficient is, one ``% p`` ends
       each step (see ``_batch_limit`` for the bound).
     """
-    n = len(poly) - 1
-    e, a = p // n, -int(poly[0])
+    e, a = (p - 1) // k, -int(poly[0])
     b = max(abs(a), 1)
     if p.dtype != object and 4 * b ** 3 * int(p.max()) ** 2 <= 1 << 52:
         return _float_power(a, e, p)
@@ -786,8 +786,8 @@ def _x_pow_p(poly: Sequence[int], p: np.ndarray, red: np.ndarray | None = None) 
     """x^p mod (f, p) by a left-to-right ladder: square at every bit of p, times x where it is set.
 
     It reads the reduction rows ``red`` of the columns of ``p``, built here
-    when not given.  Any monic f of degree >= 2 works, but the engine sends
-    x^n - a to ``_binomial_power`` instead, since its x^p is a monomial.
+    when not given.  Any monic f of degree >= 2 works, but the engine forms
+    no x^p for x^n - a, whose masks and cycle types need powers of a alone.
     """
     n = len(poly) - 1
     if red is None:
@@ -849,14 +849,14 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
     """Complete-splitting mask over an array of primes; excluded primes give False.
 
     When f is x^n - a, read from its coefficients, an unramified p splits
-    completely only if p = 1 (mod n): the ratios of n distinct roots of
-    x^n - a in GF(p) are n distinct n-th roots of unity, so n | p - 1.  Then
-    it splits exactly when a^((p - 1) / n) = 1, the n-th power residue
-    criterion (Ireland & Rosen, Prop. 4.2.1).  Only those columns run the
-    ladder of ``_binomial_power``, in float64 or int64 by the bound given
-    there, and each is True where the power is 1; no x^p is formed, and
-    the other columns are False without arithmetic.  Each block first
-    raises at its first entry that ``_refusals`` marks.
+    completely exactly when f has n roots in GF(p), the case d = 1 of
+    ``_binomial_roots``: gcd(n, p - 1) = n, that is p = 1 (mod n), and
+    a^((p - 1) / n) = 1, the n-th power residue criterion (Ireland & Rosen,
+    Prop. 4.2.1).  Only those columns run the ladder of ``_binomial_power``
+    with k = n, in float64 or int64 by the bound given there, and each is
+    True where the power is 1; no x^p is formed, and the other columns are
+    False without arithmetic.  Each block first raises at its first entry
+    that ``_refusals`` marks.
 
     A quadratic f with |disc f| <= ``_SYMBOL_LIMIT`` runs no ladder: its
     model builds, on the first mask, the table of (D/p) over the classes
@@ -891,7 +891,7 @@ def split_mask(model: GaloisExtensionModel, primes: np.ndarray) -> np.ndarray:
         if binomial:
             part &= p % n == 1  # where x^p = a^((p - 1) / n) x
             if part.any():
-                part[part] = _binomial_power(model.poly, p[part]) == 1
+                part[part] = _binomial_power(model.poly, p[part], n) == 1
         elif part.any():
             xp = _x_pow_p(model.poly, p[part])
             # f | x^p - x, valid since f mod p is squarefree
@@ -915,8 +915,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadratic_traces(table: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """tr(Q) and tr(Q^2) of a quadratic f from its ``_quadratic_symbols`` table, shape (2, B).
+def _quadratic_roots(table: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """R(1) and R(2) of a quadratic f from its ``_quadratic_symbols`` table, shape (2, B).
 
     f has 1 + (D/p) roots in GF(p) and both of its roots in GF(p^2).  The
     symbol is 0 where p divides D, a column the caller refuses.
@@ -926,44 +926,37 @@ def _quadratic_traces(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _binomial_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
-    """tr(Q^d) mod p for d = 1..n of f = x^n - a, n >= 2, shape (n, B), from Q's monomial rows.
+def _binomial_roots(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
+    """R(d), the number of roots of f = x^n - a in GF(p^d), for d = 1..n, n >= 2, shape (n, B).
 
-    With x^p = c x^rho, rho = p mod n (``_binomial_power``), and x^n = a,
-    row i of Q is w_i x^(i rho mod n) with w_i = c^i a^(i rho // n): Q
-    moves the basis along the permutation i -> i rho mod n, scaled by w_i.
-    A cycle C of length L comes back after L steps scaled by the product
-    P_C of its w_i, so tr(Q^d) is the sum of L P_C^(d/L) over the cycles
-    whose length divides d.  Columns are grouped by rho; a rho not prime to
-    n means p | n, where p ramifies, and those columns stay 0 for the
-    caller to refuse.
+    GF(p^d)* is cyclic, so with g = gcd(n, p^d - 1), x^n = a has g roots
+    in GF(p^d) if a^((p^d - 1) / g) = 1 and none otherwise (Ireland &
+    Rosen, ch. 7 sec. 1).  For a in GF(p)*, let S = 1 + p + ... + p^(d-1),
+    u = gcd(g, S) and h = g / u.  Then (p^d - 1) / g = ((p - 1) / h) (S / u)
+    with gcd(h, S / u) = 1, so h | p - 1, as h | (p - 1) (S / u).  Since
+    a^((p - 1) / h) has order dividing h, prime to S / u, a^((p^d - 1) / g)
+    = 1 exactly when a^((p - 1) / h) = 1.  h divides G = gcd(n, p - 1), so
+    R(d) = g [t^(G / h) = 1] for the one power t = a^((p - 1) / G)
+    (``_binomial_power``), and h = 1 needs none.  g, h and G depend on
+    r = p mod n alone: columns are grouped by r, and a group with G = 1
+    takes no power.  An r not prime to n (p | n) and p | a both mean that
+    p ramifies; those columns are for the caller to refuse.
     """
     n = len(poly) - 1
-    a, c = _mod_int(-poly[0], p), _binomial_power(poly, p)
     rho = (p % n).astype(np.intp)
     roots = np.zeros((n, p.size), dtype=np.int64)
     for r in range(1, n):
-        if math.gcd(r, n) != 1:
-            continue
         cols = np.flatnonzero(rho == r)
-        pc, ac, cc = p[cols], a[cols], c[cols]
-        w = [np.ones_like(pc)]
-        for i in range(1, n):  # i r // n grows by 0 or 1 from i - 1
-            step = w[-1] * cc % pc
-            w.append(step * ac % pc if i * r // n > (i - 1) * r // n else step)
-        sums = np.zeros((n, cols.size), dtype=p.dtype)
-        for start in range(n):
-            cycle = [start]
-            while (i := cycle[-1] * r % n) != start:
-                cycle.append(i)
-            if min(cycle) < start:  # each cycle is summed once, from its least index
-                continue
-            length, product = len(cycle), reduce(lambda x, y: x * y % pc, [w[i] for i in cycle])
-            power = product
-            for d in range(length, n + 1, length):
-                sums[d - 1] += length * power
-                power = power * product % pc
-        roots[:, cols] = sums % pc
+        if math.gcd(r, n) != 1 or not cols.size:
+            continue
+        pc, big = p[cols], math.gcd(n, r - 1)
+        t = [_binomial_power(poly, pc, big)] if big > 1 else []  # t^1..t^(G-1)
+        while len(t) < big - 1:
+            t.append(t[-1] * t[0] % pc)
+        for d in range(1, n + 1):
+            g = math.gcd(n, r ** d - 1)
+            h = g // math.gcd(g, sum(r ** i for i in range(d)))
+            roots[d - 1, cols] = g if h == 1 else g * (t[big // h - 1] == 1)
     return roots
 
 
@@ -1000,22 +993,22 @@ def _matrix_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
 def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.ndarray, int]:
     """Counts c_k (shape (n, B)) of one block and the index of its first failing column.
 
-    R(d) = sum_{k | d} k c_k, the number of roots of f in GF(p^d), is
-    tr(Q^d) mod p: on a factor GF(p^k) of GF(p)[x]/(f) the Frobenius permutes
-    a normal basis cyclically, so Q^d has trace k if k | d and 0 otherwise.
-    Three routes give those traces, read off the model's structure:
+    R(d) = sum_{k | d} k c_k is the number of roots of f in GF(p^d).  Three
+    routes give it, read off the model's structure:
 
     * a quadratic with a ``_symbol_table`` reads R(1) = 1 + (D/p) off it,
-      and R(2) = 2 (``_quadratic_traces``);
-    * x^n - a, read from f's coefficients, has a monomial Q, whose traces
-      are sums over the cycles of a permutation of the basis
-      (``_binomial_traces``);
-    * any other f forms Q^1..Q^ceil(n/2) and takes each later trace as the
-      trace of a product of two of them (``_matrix_traces``).
+      and R(2) = 2 (``_quadratic_roots``);
+    * x^n - a, read from f's coefficients, counts its roots by the
+      power-residue criterion (``_binomial_roots``);
+    * any other f forms Q^1..Q^ceil(n/2) and takes each tr(Q^d) as the
+      trace of a product of two of them (``_matrix_traces``).  On a factor
+      GF(p^k) of GF(p)[x]/(f) the Frobenius permutes a normal basis
+      cyclically, so Q^d has trace k if k | d and 0 otherwise: tr(Q^d) is
+      R(d) mod p, and R(d) itself for p > n.
 
-    For p > n the residue is R(d) itself, and k c_k = R(k) minus the terms
-    j c_j of the proper divisors j of k (Moebius inversion).  A column with
-    p <= n takes its degrees from ``_factor_degrees`` instead.
+    A column with p <= n takes its degrees from ``_factor_degrees``
+    instead.  k c_k = R(k) minus the terms j c_j of the proper divisors j
+    of k (Moebius inversion).
 
     A column fails where ``frobenius_cycle_type`` would raise or where its
     counts are no cycle type; the index is B if no column fails.
@@ -1024,9 +1017,9 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
     p = np.maximum(p, 2)  # a refused p < 2 is computed as 2, not divided by
     n = model.poly_degree
     if model._symbol_table is not None:
-        roots = _quadratic_traces(model._symbol_table, p)
+        roots = _quadratic_roots(model._symbol_table, p)
     elif n > 1 and not any(model.poly[1:-1]):
-        roots = _binomial_traces(model.poly, p)
+        roots = _binomial_roots(model.poly, p)
     else:
         roots = _matrix_traces(model.poly, p)
     for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)

@@ -209,6 +209,14 @@ class TestCycleTypes:
                 expected = brute_force_factor_degrees(model.poly, p)
                 assert frobenius_cycle_type(model, p).degrees == expected, (model.poly, p)
                 shapes[p] = expected
+            if not any(model.poly[1:-1]):
+                # x^n - a: the root counts R(d) = sum_{k | d} k c_k of the
+                # binomial route, at p <= deg f too, where the engine itself
+                # factors instead, so only this test reaches the formula there
+                n, primes = model.poly_degree, sorted(shapes)
+                truth = [[sum(k for k in shapes[p] if d % k == 0) for d in range(1, n + 1)] for p in primes]
+                for block in (np.array(primes, dtype=np.int64), np.array(primes, dtype=object)):
+                    assert splitting_mod._binomial_roots(model.poly, block).T.tolist() == truth, model.poly
             if model in repeated:
                 assert min(shapes) <= model.poly_degree
                 assert any(shape.count(d) > 1 for p, shape in shapes.items() if p <= 13
@@ -560,8 +568,8 @@ class TestBatchedEngineDifferential:
     )
     @example([-1, -1, 0, 0, 0], 2, 0, 1, 1)  # x^5 - x - 1, disc 19 * 151
     @example([-1, -1, 0, 0, 0, 0, 0, 0], 2, 0, 1, 1)  # x^8 - x - 1, disc -11 * 1600069
-    # binomials take the monomial route of _binomial_power, which random coefficients
-    # almost never draw; x^4 + 2 (disc 2^11) and x^8 + 3 (disc 2^24 * 3^7)
+    # binomials take the root-count route of _binomial_roots, which random
+    # coefficients almost never draw; x^4 + 2 (disc 2^11) and x^8 + 3 (disc 2^24 * 3^7)
     # keep 3, resp. 5 and 7, as unramified columns with p <= deg f
     @example([-2, 0, 0], 2, 0, 1, 1)  # x^3 - 2, disc -2^2 * 3^3
     @example([2, 0, 0, 0], 2, 0, 1, 1)  # x^4 + 2
@@ -610,18 +618,17 @@ class TestBatchedEngineDifferential:
             assert seen.tolist() == clean[:2].tolist() and counts.shape == (n, seen.size)
 
     def test_counts_that_are_no_cycle_type_raise(self, monkeypatch):
-        # x^p = c x^(p mod 3) zeroed in the column of p = 11 leaves
-        # Q = diag(1, 0, 0), whose traces claim one root of x^3 - 2 in every
+        # the column of p = 11 set to claim one root of x^3 - 2 in every
         # GF(11^d): no cycle type, so the true one, {1,2}, comes from
         # frobenius_cycle_type
-        binomial_power = splitting_mod._binomial_power
+        binomial_roots = splitting_mod._binomial_roots
 
         def corrupted(*args):
-            c = binomial_power(*args)
-            c[2] = 0
-            return c
+            roots = binomial_roots(*args)
+            roots[:, 2] = 1
+            return roots
 
-        monkeypatch.setattr(splitting_mod, "_binomial_power", corrupted)
+        monkeypatch.setattr(splitting_mod, "_binomial_roots", corrupted)
         primes = np.array([5, 7, 11, 13, 17], dtype=np.int64)
         seen, counts, error = _gathered_cycle_counts(X3M2, primes)
         assert type(error) is InvariantViolationError
@@ -658,9 +665,9 @@ class TestBatchedEngineDifferential:
         received = []
         binomial_power = splitting_mod._binomial_power
 
-        def recording(poly, p):
+        def recording(poly, p, k):
             received.extend(p.tolist())
-            return binomial_power(poly, p)
+            return binomial_power(poly, p, k)
 
         def no_x_pow_p(*args):
             raise RuntimeError("_x_pow_p called")
@@ -767,8 +774,8 @@ class TestBatchedEngineDifferential:
                 if not block.size:
                     continue
                 floats.clear()
-                power = splitting_mod._binomial_power(model.poly, block)
-                assert power.tolist() == [pow(a, p // n, p) for p in block.tolist()], (n, a)
+                power = splitting_mod._binomial_power(model.poly, block, n)
+                assert power.tolist() == [pow(a, (p - 1) // n, p) for p in block.tolist()], (n, a)
                 within = block.max() <= bound
                 assert floats == ([block.tolist()] if within else []), (n, a, block.tolist())
                 clean = block[(n * a) % block != 0]
@@ -794,8 +801,9 @@ def _binomial(n: int, a: int) -> tuple[int, ...]:
 class TestCycleTypeRoutes:
     """Each route of ``_block_cycle_counts`` against ``frobenius_cycle_type``.
 
-    A quadratic with a symbol table reads its traces off the table, x^n - a
-    off its monomial Q, and any other f off the powers Q^1..Q^ceil(n/2).
+    A quadratic with a symbol table reads its root counts off the table,
+    x^n - a counts its roots by the power-residue criterion, and any other f
+    reads traces off the powers Q^1..Q^ceil(n/2).
     """
 
     @staticmethod
@@ -808,8 +816,9 @@ class TestCycleTypeRoutes:
         st.one_of(
             # quadratics x^2 + bx + c of the table, odd D (p = 2 unramified) included
             st.tuples(st.integers(-3000, 3000), st.integers(-60, 60)).map(lambda cb: cb + (1,)),
-            # x^n - a with a of either sign and |a| > 1
-            st.tuples(st.sampled_from([3, 4, 6, 8]), st.integers(2, 10**6), st.sampled_from([1, -1]))
+            # x^n - a with a of either sign and |a| > 1; for prime n every
+            # p != 1 (mod n) has gcd(n, p - 1) = 1 and takes no power of a
+            st.tuples(st.sampled_from([3, 4, 5, 6, 7, 8]), st.integers(2, 10**6), st.sampled_from([1, -1]))
             .map(lambda t: _binomial(t[0], t[1] * t[2])),
             # any other f
             st.integers(2, 8).flatmap(lambda n: st.lists(st.integers(-50, 50), min_size=n, max_size=n))
