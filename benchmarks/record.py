@@ -6,8 +6,11 @@ Run from anywhere inside the repository:
     python3 benchmarks/record.py --label now --seeds 3
 
 For each workload and each seed, ``perfbench/run.py --trace 0`` runs once in
-the working tree and, with ``--against REV``, once in a copy of REV unpacked
-by ``git archive`` into a temporary directory; each tree runs its own
+a copy of the working tree and, with ``--against REV``, once in a copy of REV
+unpacked by ``git archive``; both copies sit side by side in one temporary
+directory, so the two trees differ in their files alone, not in where they
+lie.  The working-tree copy takes untracked files too and leaves out
+``.git``, ``__pycache__`` and ``perfbench/results``.  Each tree runs its own
 perfbench at its default length.  The order inside a pair alternates
 (base first on even pairs), so a slow stretch of a shared host falls on
 both trees alike.  Both trees are byte-compiled with ``compileall`` before
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,17 @@ def _unpack(root: Path, rev: str, dest: Path) -> None:
                              capture_output=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _copy_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree into ``dest``, without ``.git``, ``__pycache__`` and ``perfbench/results``."""
+    results = root / "perfbench" / "results"
+
+    def skipped(directory: str, names: list[str]) -> list[str]:
+        return [name for name in names if name in (".git", "__pycache__")
+                or Path(directory, name) == results]
+
+    shutil.copytree(root, dest, ignore=skipped)
 
 
 def _line_counts(tree: Path) -> dict[str, int]:
@@ -98,12 +113,13 @@ def main(argv: list[str] | None = None) -> int:
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
     with tempfile.TemporaryDirectory(prefix="chebdens-bench-") as tmp:
-        trees = {"change": root}
+        trees = {"change": Path(tmp) / "change"}
+        _copy_worktree(root, trees["change"])
         revs = {"change": {"commit": _git(root, "rev-parse", "HEAD"),
                            "dirty": bool(_git(root, "status", "--porcelain", "--", "src",
                                               "perfbench"))}}
         if args.against:
-            trees["base"] = Path(tmp) / "tree"
+            trees["base"] = Path(tmp) / "base"
             _unpack(root, args.against, trees["base"])
             revs["base"] = {"commit": _git(root, "rev-parse", f"{args.against}^{{commit}}")}
         for tree in trees.values():

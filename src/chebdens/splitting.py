@@ -46,11 +46,11 @@ distinct-degree factorization, which reads x^(p^d) for d >= 2 off the rows
 of Q, and the engine's from the number R(d) = sum_{k | d} k c_k of roots
 of f in GF(p^d), which Moebius inversion turns into the counts c_k of
 degree-k factors.  R(d) is read off the model where it allows: a
-quadratic's symbol table, the power-residue criterion for x^n - a
-(``_binomial_roots``), and otherwise tr(Q^d) mod p, which is R(d) for
-p > deg f, from the powers of Q up to ceil(n/2) (``_block_cycle_counts``).
-The engine sends a prime p <= deg f (at most 2, 3, 5 and 7 for
-deg f <= 8) to the single-prime factorization instead.
+quadratic's symbol table or the power-residue criterion for x^n - a
+(``_binomial_roots``), both exact at every unramified p, and otherwise
+tr(Q^d) mod p, which is R(d) for p > deg f, from the powers of Q up to
+ceil(n/2) (``_block_cycle_counts``); there alone a prime p <= deg f (at
+most 2, 3, 5 and 7 for deg f <= 8) takes the single-prime factorization.
 A block runs in int64 when its largest prime is at most
 ``_batch_limit(deg f)``; a block with a prime too large for int64 sums runs
 the same functions on an ``object`` array of Python ints.
@@ -650,13 +650,8 @@ def _batch_limit(n: int) -> int:
 
     The largest sum the engine accumulates before a ``% p`` is n products of
     two residues, at most n*(p-1)^2, which must not exceed 2^63 - 1.  The
-    limit is below 2^32 for every n, as ``_mod_int`` needs.  The int64
-    ladder of a binomial x^n - a reduces once per step, after c^2 * a, a
-    product of up to |a|*(p-1)^2 with a the signed residue; where that can
-    pass 2^63 in an int64 block, the step also reduces c^2 first, so no
-    product passes (p-1)^2.  Its float64 ladder takes a block only where
-    4 max(|a|, 1)^3 p^2 <= 2^52 at the largest p, far below this limit
-    (p <= 2^25 at |a| = 1; see ``_binomial_power``).
+    limit is below 2^32 for every n, as ``_mod_int`` needs; the ladders
+    of ``_binomial_power`` keep their products within it too.
     """
     return 1 + math.isqrt(((1 << 63) - 1) // n)
 
@@ -714,16 +709,17 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray, k: int) -> np.ndarray:
     on columns p = 1 (mod k).  A block takes one of two ladders over the
     bits of e = (p - 1) // k, picked from its largest prime and from a:
 
-    * In float64 where, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52.
-      Fixed 2-bit windows of e, from the top, each square c twice and
-      multiply it by one of the constants 1, a, a^2, a^3, which are never
-      reduced, so p <= 2|a| needs no case of its own.  Each reduction
-      takes q = floor(c * fl(1/p)) and c - q p, which lies in [-p, 2p);
-      one exact ``%`` ends the ladder.  Proof, with u = 2^-53: every c
-      that is squared lies in [-p, 2p), so c^2 < 4p^2, and c^2 times a
-      constant of at most b^3 in size stays below 4 b^3 p^2 <= 2^52, as
-      does the first c, a constant itself.  Every product is thus an
-      integer below 2^52 in size, exact in float64.  For such c, fl(c * fl(1/p)) is
+    * In float64 where, with b = max(|a|, 1), 4 b^3 p_max^2 <= 2^52, far
+      below ``_batch_limit`` (p <= 2^25 at |a| = 1).  Fixed 2-bit windows
+      of e, from the top, each square c twice and multiply it by one of
+      the constants 1, a, a^2, a^3, which are never reduced, so p <= 2|a|
+      needs no case of its own.  Each reduction takes q = floor(c * fl(1/p))
+      and c - q p, which lies in [-p, 2p); one exact ``%`` ends the ladder.
+      Proof, with u = 2^-53: every c that is squared lies in [-p, 2p), so
+      c^2 < 4p^2, and c^2 times a constant of at most b^3 in size stays
+      below 4 b^3 p^2 <= 2^52, as does the first c, a constant itself.
+      Every product is thus an integer below 2^52 in size, exact in
+      float64.  For such c, fl(c * fl(1/p)) is
       c/p within |c/p| (2u + u^2) < 1, so q is floor(c/p) or one off it,
       and c - q p lies in [-p, 2p).  q p is within 2p of c, below 2^53, so
       it and the difference are exact; that step is why the margin is
@@ -731,7 +727,9 @@ def _binomial_power(poly: Sequence[int], p: np.ndarray, k: int) -> np.ndarray:
     * In int64 otherwise, on ``object`` blocks too: each step multiplies
       c^2 by a where the bit is set and by 1 elsewhere; with a taken as
       its signed residue, small when the coefficient is, one ``% p`` ends
-      each step (see ``_batch_limit`` for the bound).
+      each step, after c^2 * a, a product of up to |a| (p-1)^2.  Where that
+      can pass 2^63 in an int64 block (``wide``), the step also reduces c^2
+      first, so no product passes (p-1)^2.
     """
     e, a = (p - 1) // k, -int(poly[0])
     b = max(abs(a), 1)
@@ -815,9 +813,10 @@ def _quadratic_symbols(poly: Sequence[int], disc: int) -> np.ndarray:
     * (p/q) for each prime q dividing m to an odd power, where p is no square mod q.
 
     A class r holds a prime dividing D exactly when gcd(r, D) > 1; its
-    entry is 0.  Class 2 holds p = 2 alone, outside reciprocity: for odd D
-    its entry is +1 or -1 as x^2 == x mod (f, 2) or not, the test of
-    ``splits_completely``.  The other classes hold no prime.
+    entry is 0.  Class 2 holds p = 2 alone, outside reciprocity: for odd D,
+    b is odd and f = x^2 + x + c (mod 2), x (x + 1) for even c and
+    irreducible for odd c, so its entry is 1 - 2 (c mod 2).  The other
+    classes hold no prime.
     """
     size = 4 * abs(disc)
     k = (size & -size).bit_length() - 3
@@ -841,7 +840,7 @@ def _quadratic_symbols(poly: Sequence[int], disc: int) -> np.ndarray:
     for q in factors:
         table.reshape(-1, q)[:, 0] = 0
     if not k:
-        table[2] = 1 if _x_pow(2, list(poly), 2) == [0, 1] else -1
+        table[2] = 1 - 2 * (poly[0] % 2)
     return table
 
 
@@ -971,8 +970,7 @@ def _matrix_traces(poly: Sequence[int], p: np.ndarray) -> np.ndarray:
     q = np.zeros((n, n, p.size), dtype=p.dtype)
     q[0, 0] = 1
     if n > 1:
-        # Q rows 2..n-1 read the reduction rows, so only n > 2 builds them here
-        red = _reduction_rows(poly, p) if n > 2 else None
+        red = _reduction_rows(poly, p)
         q[1] = _x_pow_p(poly, p, red)
         for i in range(2, n):
             q[i] = _block_mulmod(q[i - 1], q[1], red, p)
@@ -1004,11 +1002,12 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
       trace of a product of two of them (``_matrix_traces``).  On a factor
       GF(p^k) of GF(p)[x]/(f) the Frobenius permutes a normal basis
       cyclically, so Q^d has trace k if k | d and 0 otherwise: tr(Q^d) is
-      R(d) mod p, and R(d) itself for p > n.
+      R(d) mod p, and R(d) itself for p > n; a column with p <= n takes
+      its degrees from ``_factor_degrees`` instead.
 
-    A column with p <= n takes its degrees from ``_factor_degrees``
-    instead.  k c_k = R(k) minus the terms j c_j of the proper divisors j
-    of k (Moebius inversion).
+    The first two are exact at every unramified p and run no single-prime
+    code.  k c_k = R(k) minus the terms j c_j of the proper divisors j of
+    k (Moebius inversion).
 
     A column fails where ``frobenius_cycle_type`` would raise or where its
     counts are no cycle type; the index is B if no column fails.
@@ -1022,9 +1021,9 @@ def _block_cycle_counts(model: SplittingFieldModel, p: np.ndarray) -> tuple[np.n
         roots = _binomial_roots(model.poly, p)
     else:
         roots = _matrix_traces(model.poly, p)
-    for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)
-        degrees = _factor_degrees(model.poly, int(p[j]))
-        roots[:, j] = [sum(k for k in degrees if d % k == 0) for d in range(1, n + 1)]
+        for j in np.flatnonzero((p <= n) & ~refused):  # there tr(Q^d) mod p loses R(d)
+            degrees = _factor_degrees(model.poly, int(p[j]))
+            roots[:, j] = [sum(k for k in degrees if d % k == 0) for d in range(1, n + 1)]
     kc = roots.copy()  # row k-1 becomes k c_k
     for k in range(2, n + 1):
         kc[k - 1] -= kc[[j - 1 for j in range(1, k) if k % j == 0]].sum(axis=0)

@@ -211,8 +211,8 @@ class TestCycleTypes:
                 shapes[p] = expected
             if not any(model.poly[1:-1]):
                 # x^n - a: the root counts R(d) = sum_{k | d} k c_k of the
-                # binomial route, at p <= deg f too, where the engine itself
-                # factors instead, so only this test reaches the formula there
+                # binomial route against trial division, at p <= deg f too,
+                # where the engine reads them off the same formula
                 n, primes = model.poly_degree, sorted(shapes)
                 truth = [[sum(k for k in shapes[p] if d % k == 0) for d in range(1, n + 1)] for p in primes]
                 for block in (np.array(primes, dtype=np.int64), np.array(primes, dtype=object)):
@@ -868,26 +868,48 @@ class TestCycleTypeRoutes:
                 assert seen.tolist() == clean[:3].tolist()
 
     def test_structured_routes_take_no_matrix_products(self, monkeypatch, primes_1e4):
-        """x^2 + 1, x^3 - 2 and x^4 + 2 run neither ``_matmul_mod`` nor ``_block_mulmod``,
-        on int64 and object blocks, while x^5 - x - 1 runs both."""
+        """The table and binomial routes run neither matrix products nor single-prime code.
+
+        x^2 + 1, x^2 - x - 1 (p = 2 unramified), x^3 - 2, x^4 + 2 and x^4 - 5
+        (p = 3 unramified, p <= n) run none of ``_matmul_mod``,
+        ``_block_mulmod``, ``_x_pow`` and ``_factor_degrees``, on int64 and
+        object blocks.  x^5 - x - 1 runs the matrix products, and factors
+        its columns p <= n, 2, 3 and 5, and no others.  Every model is built
+        here, so none holds a symbol table before the patches.
+        """
         cases = []
-        for model in (X2P1, X3M2, X4P2):
+        for poly, order in (((1, 0, 1), 2), ((-1, -1, 1), 2), ((-2, 0, 0, 1), 6),
+                            ((2, 0, 0, 0, 1), 8), ((-5, 0, 0, 0, 1), 8)):
+            model = splitting_field_model(poly, order)
             window = np.array(_primes_near(splitting_mod._batch_limit(model.poly_degree), 6))
             for primes in (primes_1e4, window):
                 clean = primes[~np.isin(primes, sorted(model.bad_primes))]
                 cases.append((model, clean, [_counts_of(model, p) for p in clean.tolist()]))
+        quintic = splitting_field_model((-1, -1, 0, 0, 0, 1), 120)
+        quintic_primes = primes_1e4[~np.isin(primes_1e4, sorted(quintic.bad_primes))]
+        quintic_truth = [_counts_of(quintic, p) for p in quintic_primes.tolist()]
 
-        def refuse(*args):
-            raise RuntimeError("matrix product taken")
+        def refuse(name):
+            def call(*args):
+                raise RuntimeError(f"{name} called")
+            return call
 
-        for name in ("_matmul_mod", "_block_mulmod"):
-            monkeypatch.setattr(splitting_mod, name, refuse)
+        for name in ("_matmul_mod", "_block_mulmod", "_x_pow", "_factor_degrees"):
+            monkeypatch.setattr(splitting_mod, name, refuse(name))
         for model, primes, truth in cases:
             seen, counts, error = _gathered_cycle_counts(model, primes)
             assert error is None and seen.tolist() == primes.tolist()
             assert counts.T.tolist() == truth
-        with pytest.raises(RuntimeError, match="matrix product taken"):
-            list(splitting_mod._cycle_types(X5M1, primes_1e4))
+        with pytest.raises(RuntimeError, match="_block_mulmod called"):
+            list(splitting_mod._cycle_types(quintic, quintic_primes))
+        monkeypatch.undo()
+        factor, factored = splitting_mod._factor_degrees, []
+        monkeypatch.setattr(splitting_mod, "_factor_degrees",
+                            lambda poly, p: factored.append(p) or factor(poly, p))
+        seen, counts, error = _gathered_cycle_counts(quintic, quintic_primes)
+        assert error is None and seen.tolist() == quintic_primes.tolist()
+        assert counts.T.tolist() == quintic_truth
+        assert factored == [2, 3, 5]
 
 
 @functools.lru_cache(maxsize=None)
