@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .calculus import TowerSpec, as_density, tower_theta
+from .calculus import TowerSpec, _tower_power, as_density, tower_theta
 from .errors import HypothesisFailureError, InconsistencyError, InvariantViolationError, ResourceLimitError
 from .weyl import GroupConstants, RootSystemType, constants_for_group, parse_type
 
@@ -39,18 +39,27 @@ _LOG10 = math.log(10.0)
 
 
 def decimal_digits(n: int) -> int:
-    """Exact decimal length of a nonnegative integer, without building its string."""
+    """Exact decimal length of a nonnegative integer, from one power of 5.
+
+    Let L = n.bit_length(), so 2^(L-1) <= n < 2^L, and c = 30102999566398/10^14,
+    which lies below log10(2) by e < 1.2e-15.  With k0 = floor((L-1)*c):
+
+    * log10(n) >= (L-1)*log10(2) >= (L-1)*c >= k0, and
+    * log10(n) < L*log10(2) = (L-1)*c + (L-1)*e + log10(2) < k0 + 1 + (L-1)*e + 0.302,
+
+    so floor(log10(n)) is k0 or k0 + 1 whenever (L-1)*e < 0.698, that is for
+    every n of fewer than 5*10^14 bits, far past any integer that fits in
+    memory.  With j = k0 + 1, n >= 10^j exactly when (n >> j) >= 5^j, because
+    n >= 2^j * 5^j says floor(n / 2^j) >= 5^j for the integer 5^j.  So one
+    power and one comparison decide the length: k0 + 2 digits if it holds,
+    else k0 + 1.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    # bit_length * log10(2) underestimates by < 1; bracket exactly
-    digits = max(1, n.bit_length() * 30103 // 100000)
-    while 10**digits <= n:
-        digits += 1
-    while digits > 1 and 10 ** (digits - 1) > n:
-        digits -= 1
-    return digits
+    j = (n.bit_length() - 1) * 30102999566398 // 10**14 + 1
+    return j + 1 if n >> j >= 5**j else j
 
 
 #: Integers up to this many bits (603 digits) are below every allowed str() digit limit (>= 640).
@@ -142,8 +151,8 @@ class BoundReport:
 
 
 def _condition(m: int, t: int, r: int, omega: Fraction) -> bool:
-    """Exact test of (1/m) * (1 - 1/t)^r < omega / 2."""
-    return 2 * omega.denominator * (t - 1) ** r < omega.numerator * m * t**r
+    """Exact test of (1/m) * (1 - 1/t)^r < omega / 2, with t^r from ``_tower_power``."""
+    return 2 * omega.denominator * (t - 1) ** r < omega.numerator * m * _tower_power(t, r)
 
 
 #: Fractional bits of the fixed-point enclosure beyond those of omega's denominator.

@@ -47,22 +47,31 @@ def _coprime_fraction(n: int, d: int) -> Fraction:
     return _coprime_constructor(n, d)
 
 
-def _reciprocal_sum(denominators: Sequence[int]) -> tuple[int, int]:
-    """(N, D) with N/D = sum of 1/d over ``denominators``, by a product tree.
+def _merge_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(N, D) with N/D = sum of n/d over ``pairs``, by a product tree.
 
     Pairs merge as N = N_L*D_R + N_R*D_L, D = D_L*D_R, so operand sizes stay
     balanced and no gcd is taken (Bernstein, "Fast multiplication and its
-    applications", 2008).  D is the product of all denominators; when they
-    are pairwise coprime the pair is in lowest terms, since N is congruent
-    to the product of the other denominators modulo each one.
+    applications", 2008).  D is the product of all denominators and N may
+    have either sign.
     """
-    items = [(1, d) for d in denominators] or [(0, 1)]
+    items = list(pairs) or [(0, 1)]
     while len(items) > 1:
         merged = [(nl * dr + nr * dl, dl * dr) for (nl, dl), (nr, dr) in zip(items[::2], items[1::2])]
         if len(items) % 2:
             merged.append(items[-1])
         items = merged
     return items[0]
+
+
+def _reciprocal_sum(denominators: Sequence[int]) -> tuple[int, int]:
+    """(N, D) with N/D = sum of 1/d over ``denominators``, by ``_merge_pairs``.
+
+    When the denominators are pairwise coprime the pair is in lowest terms,
+    since N is congruent to the product of the other denominators modulo
+    each one.
+    """
+    return _merge_pairs([(1, d) for d in denominators])
 
 
 def as_density(value) -> Fraction:
@@ -192,31 +201,46 @@ def inclusion_exclusion_density(
     return total
 
 
+def _integer(value, what: str) -> int:
+    """``int(value)``, refusing a value that the conversion would truncate."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return n
+
+
 def truncated_inclusion_exclusion_check(
     sets: Sequence[Iterable[int]], s: int
 ) -> tuple[bool, Fraction]:
     """Exact check of the inclusion-exclusion identity for truncated zeta sums.
 
     Both sides of ``xi_{A1 u ... u Ar}(s) = sum (-1)^(l-1) xi_{intersections}(s)``
-    are evaluated with rational arithmetic; returns (equal, lhs - rhs).  The
-    identity is pure set algebra, so the residual is 0 for every input.
+    are evaluated independently with exact integers; returns (equal, lhs - rhs).
+    The left side is the unreduced pair (N_L, D_L) of ``_reciprocal_sum`` over
+    the union, the right side the signed pairs of the intersections folded by
+    ``_merge_pairs`` into (N_R, D_R).  The sides are equal exactly when
+    N_L*D_R == N_R*D_L, and the residual is normalised once, as
+    (N_L*D_R - N_R*D_L) / (D_L*D_R).  The identity is pure set algebra, so
+    the residual is 0 for every input.
+
+    ``s`` and the set members must be integers (a float that is one, such as
+    3.0, is accepted); anything ``int()`` would truncate raises ValueError.
     """
-    s = int(s)
+    s = _integer(s, "s")
     if s < 2:
         raise ValueError("s must be an integer >= 2 for the exact check")
-    families = [frozenset(int(p) for p in member_set) for member_set in sets]
+    families = [frozenset(_integer(p, "set members") for p in member_set) for member_set in sets]
     if not families:
         raise ValueError("need at least one set")
     for fam in families:
         if any(p < 2 for p in fam):
             raise ValueError("set members must be integers >= 2")
 
-    def xi(members: frozenset[int]) -> Fraction:
-        return Fraction(*_reciprocal_sum([p**s for p in sorted(members)]))
+    def xi(members: frozenset[int]) -> tuple[int, int]:
+        return _reciprocal_sum([p**s for p in sorted(members)])
 
-    union: frozenset[int] = frozenset().union(*families)
-    lhs = xi(union)
-    rhs = Fraction(0)
+    n_lhs, d_lhs = xi(frozenset().union(*families))
+    signed = []
     r = len(families)
     for size in range(1, r + 1):
         sign = 1 if size % 2 else -1
@@ -224,30 +248,46 @@ def truncated_inclusion_exclusion_check(
             inter = families[combo[0]]
             for idx in combo[1:]:
                 inter = inter & families[idx]
-            rhs += sign * xi(inter)
-    residual = lhs - rhs
-    return residual == 0, residual
+            n, d = xi(inter)
+            signed.append((sign * n, d))
+    n_rhs, d_rhs = _merge_pairs(signed)
+    difference = n_lhs * d_rhs - n_rhs * d_lhs
+    return difference == 0, Fraction(difference, d_lhs * d_rhs)
 
 
-def _over_tower_degree(n: int, spec: TowerSpec) -> Fraction:
-    """n / (m * t^r) in lowest terms, for n prime to t.
+def _tower_power(t: int, r: int) -> int:
+    """t^r, with the factor 2^(v*r), v = v_2(t), applied as a shift.
+
+    A Weyl order t carries a large power of two (51840 = 2^7 * 405), so
+    powering only the odd part t >> v builds an integer of r*log2(t >> v)
+    bits, not r*log2(t), before the one shift.
+    """
+    v = (t & -t).bit_length() - 1
+    return (t >> v) ** r << (v * r)
+
+
+def _over_tower_degree(n: int, m: int, t_power: int) -> Fraction:
+    """n / (m * t^r) in lowest terms, for n prime to t and ``t_power`` = t^r.
 
     The only common factor is then g = gcd(n, m); dividing it out avoids the
     gcd of two integers of about r * log2(t) bits that Fraction(n, m * t^r)
     would take.
     """
-    g = math.gcd(n, spec.m)
-    return _coprime_fraction(n // g, spec.m // g * spec.t**spec.r)
+    g = math.gcd(n, m)
+    return _coprime_fraction(n // g, m // g * t_power)
 
 
 def disjoint_union_density(spec: TowerSpec) -> Fraction:
     """Density of the union of the r complete-splitting sets: (1 - (1 - 1/t)^r) / m.
 
     The numerator t^r - (t-1)^r is prime to t because (t-1)^r is, so the
-    result is built in lowest terms by ``_over_tower_degree``.
+    result is built in lowest terms by ``_over_tower_degree``; t^r comes
+    from ``_tower_power`` once and serves both the numerator and the
+    denominator.
     """
     t, r = spec.t, spec.r
-    return _over_tower_degree(t**r - (t - 1) ** r, spec)
+    t_power = _tower_power(t, r)
+    return _over_tower_degree(t_power - (t - 1) ** r, spec.m, t_power)
 
 
 def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
@@ -258,7 +298,8 @@ def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
     S n Spl(P_i/K) at least theta/r.
 
     The subtrahend (t-1)^r / (m * t^r) is built in lowest terms by
-    ``_over_tower_degree``, since gcd(t-1, t) = 1.
+    ``_over_tower_degree``, since gcd(t-1, t) = 1, with t^r from
+    ``_tower_power``.
     """
     d_overlap = as_density(d_overlap)
     ambient = Fraction(1, spec.m)
@@ -266,7 +307,8 @@ def tower_theta(d_overlap, spec: TowerSpec) -> ThetaBound:
         raise InconsistencyError(
             f"d(S n Spl(M/K)) = {d_overlap} exceeds d(Spl(M/K)) = {ambient}"
         )
-    theta = d_overlap - _over_tower_degree((spec.t - 1) ** spec.r, spec)
+    subtrahend = _over_tower_degree((spec.t - 1) ** spec.r, spec.m, _tower_power(spec.t, spec.r))
+    theta = d_overlap - subtrahend
     return ThetaBound(theta, max(theta, Fraction(0)) / spec.r, theta <= 0)
 
 

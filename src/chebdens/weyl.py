@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,37 +205,39 @@ def _simple_root_vectors(rst_type: RootSystemType) -> list[tuple[int, ...]]:
     return [tuple(a) for a in alphas]
 
 
-def _dot(x: Sequence[int], y: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(x, y))
+def _reflect_rows(rows: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Images of every row under every simple reflection, shape (rank, rows, dim).
 
-
-def _reflect(x: tuple[int, ...], alpha: tuple[int, ...], alpha_norm: int) -> tuple[int, ...]:
-    q, rem = divmod(2 * _dot(x, alpha), alpha_norm)
-    if rem:
+    s_i(x) = x - (2 (x, a_i) / (a_i, a_i)) a_i, with all pairings of a block
+    taken by one matrix product.  Raises ArithmeticError where a pairing is
+    not an integer.
+    """
+    norms = np.einsum("ij,ij->i", alphas, alphas)
+    q, rem = np.divmod(2 * rows @ alphas.T, norms)
+    if rem.any():
+        k, i = np.argwhere(rem)[0]
+        x, alpha = tuple(rows[k].tolist()), tuple(alphas[i].tolist())
         raise ArithmeticError(f"non-integral Cartan pairing for {x} against {alpha}")
-    return tuple(xi - q * ai for xi, ai in zip(x, alpha))
+    return rows[np.newaxis, :, :] - q.T[:, :, np.newaxis] * alphas[:, np.newaxis, :]
 
 
 def build_root_system(rst_type: RootSystemType | str) -> RootSystemData:
     """Realize the root system and collect its Weyl constants.
 
     Roots are the closure of the simple roots under the simple reflections,
-    frozen in lexicographic order for determinism.
+    reflected a whole BFS level at a time and frozen in lexicographic order
+    for determinism.
     """
     rst_type = parse_type(rst_type)
     alphas = _simple_root_vectors(rst_type)
-    norms = [_dot(a, a) for a in alphas]
+    basis = np.array(alphas, dtype=np.int64)
+    dim = basis.shape[1]
     roots: set[tuple[int, ...]] = set(alphas)
-    frontier = list(alphas)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for alpha, norm in zip(alphas, norms):
-                y = _reflect(x, alpha, norm)
-                if y not in roots:
-                    roots.add(y)
-                    fresh.append(y)
-        frontier = fresh
+    frontier = basis
+    while frontier.shape[0]:
+        fresh = set(map(tuple, _reflect_rows(frontier, basis).reshape(-1, dim).tolist())) - roots
+        roots |= fresh
+        frontier = np.array(list(fresh), dtype=np.int64).reshape(-1, dim)
     ordered = tuple(sorted(roots))
     expected = expected_root_count(rst_type)
     if len(ordered) != expected:
@@ -269,11 +271,9 @@ def _as_data(system: RootSystemData | RootSystemType | str) -> RootSystemData:
 def simple_reflection_perms(data: RootSystemData) -> list[tuple[int, ...]]:
     """The simple reflections as permutations of the root list."""
     index = {root: i for i, root in enumerate(data.roots)}
-    perms = []
-    for alpha in data.simple_roots:
-        norm = _dot(alpha, alpha)
-        perms.append(tuple(index[_reflect(r, alpha, norm)] for r in data.roots))
-    return perms
+    roots, alphas = (np.array(rows, dtype=np.int64) for rows in (data.roots, data.simple_roots))
+    images = _reflect_rows(roots, alphas)
+    return [tuple(index[y] for y in map(tuple, image.tolist())) for image in images]
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

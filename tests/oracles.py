@@ -5,8 +5,9 @@ trial division, a second (odd-only, bytearray) sieve, quadratic splitting by
 Euler's criterion, cubic splitting by the cubic-residue test, binomial
 splitting by the n-th power residue criterion, cycle types by
 root counting, partitions by explicit recursive enumeration, tower counts by
-an exact linear search (and by 80-digit mpmath past exact powers), Weyl
-groups by a dict-keyed BFS and orbit loop, ``spl``/``frob`` output by one
+an exact linear search (and by 80-digit mpmath past exact powers), root
+systems by reflecting one tuple at a time, Weyl groups by a dict-keyed BFS
+and orbit loop, ``spl``/``frob`` output by one
 dict per scan record, and density tables by a fresh sieve and classification
 at every cutoff.
 """
@@ -222,6 +223,43 @@ def tower_condition_mpmath(m: int, t: int, r: int, omega: Fraction) -> bool:
         if abs(lhs - rhs) <= rhs * mpmath.mpf(10) ** -60:
             raise ValueError(f"80-digit comparison undecided at r = {r}")
         return bool(lhs < rhs)
+
+
+# ---------------------------------------------------------------------------
+# root systems by pure-Python reflections of one tuple at a time, kept as the
+# reference for the block reflections of weyl._reflect_rows
+
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _reflect(x: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
+    q, rem = divmod(2 * _dot(x, alpha), _dot(alpha, alpha))
+    if rem:
+        raise ArithmeticError(f"non-integral Cartan pairing for {x} against {alpha}")
+    return tuple(xi - q * ai for xi, ai in zip(x, alpha))
+
+
+def roots_by_tuple_closure(simple_roots) -> tuple[tuple[int, ...], ...]:
+    """Closure of the simple roots under their reflections, sorted, one root and reflection at a time."""
+    roots = set(simple_roots)
+    frontier = list(simple_roots)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for alpha in simple_roots:
+                y = _reflect(x, alpha)
+                if y not in roots:
+                    roots.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return tuple(sorted(roots))
+
+
+def reflection_perms_by_tuples(data) -> list[tuple[int, ...]]:
+    """Each simple reflection of ``data`` as a permutation of ``data.roots``, root by root."""
+    index = {root: i for i, root in enumerate(data.roots)}
+    return [tuple(index[_reflect(r, alpha)] for r in data.roots) for alpha in data.simple_roots]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from chebdens import (
     report_to_dict,
 )
 from chebdens import bounds
-from chebdens.bounds import DEFAULT_R_CAP, _condition, decimal_str
+from chebdens.bounds import DEFAULT_R_CAP, _condition, decimal_digits, decimal_str
 from oracles import tower_condition_mpmath, tower_counts_by_linear_search
 
 positive_small_fractions = st.fractions(min_value=Fraction(1, 64), max_value=1, max_denominator=64)
@@ -230,6 +230,37 @@ class TestDecimalStr:
         value = int(block) * (10 ** (997 * 1003) - 1) // (10**997 - 1)
         assert decimal_str(value) == block * 1003
         assert decimal_str(10**999_999) == "1" + "0" * 999_999
+
+
+class TestDecimalDigits:
+    """decimal_digits against the length of decimal_str, which shares none of its arithmetic."""
+
+    @staticmethod
+    def _edges(k: int, bits: int) -> list[int]:
+        return [10**k - 1, 10**k, 10**k + 1, 2**bits - 1, 2**bits]
+
+    def test_zero_and_negative(self):
+        assert decimal_digits(0) == 1
+        with pytest.raises(ValueError):
+            decimal_digits(-1)
+
+    def test_every_small_power_edge(self):
+        for k in range(0, 1500):
+            for n in self._edges(k, k + 1):
+                if n > 0:
+                    assert decimal_digits(n) == len(decimal_str(n)), n
+
+    def test_power_edges_up_to_300k_digits(self):
+        # a doubling ladder of k from 1501 to 3 * 10^5 digits
+        for k in [1501 * 2**i for i in range(8)] + [300_000]:
+            for n in self._edges(k, round(k * 3.3219280948873622)):
+                assert decimal_digits(n) == len(decimal_str(n)), (k, n.bit_length())
+
+    def test_random_sizes(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.getrandbits(rng.randint(1, 200_000 if rng.random() < 0.1 else 4000))
+            assert decimal_digits(n) == len(decimal_str(n))
 
 
 class TestFactorialBound:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from chebdens import (
     truncated_inclusion_exclusion_check,
     union_upper_bound,
 )
+from oracles import slow_fraction_zeta
 
 fractions_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
@@ -186,6 +188,53 @@ class TestTruncatedInclusionExclusion:
         with pytest.raises(ValueError):
             truncated_inclusion_exclusion_check([[1, 2]], 2)
 
+    @pytest.mark.parametrize(
+        "sets, s, what",
+        [([[2, 3]], 2.9, "s"), ([[2, 3]], Fraction(5, 2), "s"), ([[2, 3.5]], 2, "set members"),
+         ([[2, 3], [Fraction(7, 2)]], 3, "set members")],
+    )
+    def test_non_integral_values_are_refused_not_truncated(self, sets, s, what):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            truncated_inclusion_exclusion_check(sets, s)
+
+    def test_integral_values_of_other_types_are_accepted(self):
+        want = truncated_inclusion_exclusion_check([[2, 3], [3, 5]], 3)
+        assert truncated_inclusion_exclusion_check([[2.0, 3], [np.int64(3), Fraction(5)]], 3.0) == want
+
+    @pytest.mark.parametrize(
+        "sets",
+        [[[4, 6, 9, 12], [6, 12, 18], [9, 12, 27]], [[10, 15, 21], [15, 21, 35, 6], [6, 10]],
+         [[8, 16], [16, 32, 64], [8, 64], [12, 16, 24]]],
+    )
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_composite_members_against_term_by_term_fractions(self, sets, s):
+        lhs = slow_fraction_zeta(set().union(*map(set, sets)), s)
+        rhs = Fraction(0)
+        for size in range(1, len(sets) + 1):
+            for combo in combinations(sets, size):
+                rhs += (-1) ** (size - 1) * slow_fraction_zeta(set.intersection(*map(set, combo)), s)
+        assert truncated_inclusion_exclusion_check(sets, s) == (lhs == rhs, lhs - rhs)
+
+    @pytest.mark.parametrize("target, sign", [(frozenset({6, 12}), -1), (frozenset({12}), 1)])
+    def test_perturbed_intersection_gives_exactly_its_residual(self, monkeypatch, target, sign):
+        # pairs meet in {6,12}, {9,12}, {12,18} (sign -1) and all three in {12} (sign +1),
+        # so each target is the member set of exactly one term
+        sets = [[4, 6, 9, 12], [6, 12, 18], [9, 12, 18, 27]]
+        s = 2
+        wanted = [p**s for p in sorted(target)]
+        honest = calculus._reciprocal_sum
+
+        def perturbed(denominators):
+            n, d = honest(denominators)
+            return (n + 1, d) if list(denominators) == wanted else (n, d)
+
+        monkeypatch.setattr(calculus, "_reciprocal_sum", perturbed)
+        equal, residual = truncated_inclusion_exclusion_check(sets, s)
+        # the right side grows by sign / d for that one intersection, d = prod p^s
+        assert not equal
+        assert residual == Fraction(-sign, math.prod(wanted))
+        assert math.gcd(residual.numerator, residual.denominator) == 1
+
 
 class TestTowerFormulas:
     def test_union_density_examples(self):
@@ -287,6 +336,14 @@ class TestReducedConstructions:
     @given(st.integers(1, 720), st.integers(2, 40), st.integers(1, 300))
     @settings(max_examples=150, deadline=None)
     def test_matches_normalising_construction(self, m, t, r):
+        _check_reduced_tower_formulas(m, t, r)
+
+
+    @pytest.mark.parametrize("t", [2**9, 48, 1152, 23040, 51840, 2835])
+    @pytest.mark.parametrize("m, r", [(1, 1), (6, 7), (35, 40), (210, 301)])
+    def test_weyl_orders_with_large_two_parts(self, t, m, r):
+        # 2^9, |W(B3)|, |W(F4)|, |W(B6)| / 2, |W(E6)|, and the odd 2835 = 3^4 * 5 * 7
+        assert calculus._tower_power(t, r) == t**r
         _check_reduced_tower_formulas(m, t, r)
 
 

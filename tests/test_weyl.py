@@ -20,7 +20,14 @@ from chebdens import (
     weyl_order,
 )
 from chebdens import weyl
-from oracles import class_count_by_dict, partitions_by_enumeration, rows_from_tables, weyl_by_dict_bfs
+from oracles import (
+    class_count_by_dict,
+    partitions_by_enumeration,
+    reflection_perms_by_tuples,
+    roots_by_tuple_closure,
+    rows_from_tables,
+    weyl_by_dict_bfs,
+)
 
 DEFAULT_CAP = weyl.DEFAULT_ENUMERATION_CAP
 
@@ -135,6 +142,21 @@ class TestRootSystems:
         first = build_root_system("D4")
         second = build_root_system("D4")
         assert first.roots == second.roots
+
+    @pytest.mark.parametrize("label", RANK_8_TYPES)
+    def test_block_reflections_match_tuple_reflections(self, label):
+        data = build_root_system(label)
+        assert data.roots == roots_by_tuple_closure(data.simple_roots)
+        assert all(type(x) is int for root in data.roots for x in root)
+        assert simple_reflection_perms(data) == reflection_perms_by_tuples(data)
+
+    def test_non_integral_pairing_raises(self, monkeypatch):
+        # (1, -1) against (0, 3): 2 * (-3) / 9 is not an integer
+        monkeypatch.setattr(weyl, "_simple_root_vectors", lambda rst_type: [(1, -1), (0, 3)])
+        with pytest.raises(ArithmeticError, match=r"non-integral Cartan pairing for \(1, -1\) against \(0, 3\)"):
+            build_root_system("A2")
+        with pytest.raises(ArithmeticError, match="non-integral Cartan pairing"):
+            roots_by_tuple_closure([(1, -1), (0, 3)])
 
 
 class TestEnumeration:
