@@ -250,6 +250,16 @@ class TestDecimalDigits:
                 if n > 0:
                     assert decimal_digits(n) == len(decimal_str(n)), n
 
+    def test_every_power_of_two_below_2_to_30000(self):
+        # 2^L - 1 and 2^L have 1 + max{k : 10^k <= 2^L} digits; the powers of 10 walk up
+        # beside them, so every L where (L - 1) * log10(2) is close to an integer is met
+        k, ten_k = 0, 1
+        for bits in range(1, 30_000):
+            n = 1 << bits
+            while ten_k * 10 <= n:
+                k, ten_k = k + 1, ten_k * 10
+            assert decimal_digits(n) == decimal_digits(n - 1) == k + 1, bits
+
     def test_power_edges_up_to_300k_digits(self):
         # a doubling ladder of k from 1501 to 3 * 10^5 digits
         for k in [1501 * 2**i for i in range(8)] + [300_000]:

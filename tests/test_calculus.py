@@ -338,11 +338,10 @@ class TestReducedConstructions:
     def test_matches_normalising_construction(self, m, t, r):
         _check_reduced_tower_formulas(m, t, r)
 
-
     @pytest.mark.parametrize("t", [2**9, 48, 1152, 23040, 51840, 2835])
     @pytest.mark.parametrize("m, r", [(1, 1), (6, 7), (35, 40), (210, 301)])
     def test_weyl_orders_with_large_two_parts(self, t, m, r):
-        # 2^9, |W(B3)|, |W(F4)|, |W(B6)| / 2, |W(E6)|, and the odd 2835 = 3^4 * 5 * 7
+        # 2^9, |W(B3)|, |W(F4)|, |W(D6)|, |W(E6)|, and the odd 2835 = 3^4 * 5 * 7
         assert calculus._tower_power(t, r) == t**r
         _check_reduced_tower_formulas(m, t, r)
 
